@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmaze_core::engines::datalog::socialite;
 use graphmaze_core::engines::spmv::combblas;
 use graphmaze_core::engines::taskpar::galois;
-use graphmaze_core::engines::vertex::{giraph, graphlab};
+use graphmaze_core::engines::vertex::{giraph, graphlab, programs, Backend};
 use graphmaze_core::prelude::*;
 
 fn bench_pagerank_models(c: &mut Criterion) {
@@ -19,10 +19,20 @@ fn bench_pagerank_models(c: &mut Criterion) {
         b.iter(|| graphmaze_core::native::pagerank::pagerank(g, PAGERANK_R, 3, 1));
     });
     group.bench_with_input(BenchmarkId::new("vertex_graphlab", 11), g, |b, g| {
-        b.iter(|| graphlab::pagerank(g, PAGERANK_R, 3, 1).unwrap());
+        let backend = Backend::Bsp(graphlab::config());
+        b.iter(|| {
+            backend
+                .run(programs::pagerank_job(g, PAGERANK_R, 3), 1)
+                .unwrap()
+        });
     });
     group.bench_with_input(BenchmarkId::new("vertex_giraph", 11), g, |b, g| {
-        b.iter(|| giraph::pagerank(g, PAGERANK_R, 3, 1).unwrap());
+        let backend = Backend::Bsp(giraph::config(1));
+        b.iter(|| {
+            backend
+                .run(programs::pagerank_job(g, PAGERANK_R, 3), 1)
+                .unwrap()
+        });
     });
     group.bench_with_input(BenchmarkId::new("spmv_combblas", 11), g, |b, g| {
         b.iter(|| combblas::pagerank(g, PAGERANK_R, 3, 1).unwrap());
@@ -45,7 +55,8 @@ fn bench_triangle_models(c: &mut Criterion) {
         b.iter(|| graphmaze_core::native::triangle::triangles(g, 1))
     });
     group.bench_function("vertex_graphlab", |b| {
-        b.iter(|| graphlab::triangles(g, 1).unwrap())
+        let backend = Backend::Bsp(graphlab::config());
+        b.iter(|| backend.run(programs::triangle_job(g), 1).unwrap())
     });
     group.bench_function("spmv_combblas", |b| {
         b.iter(|| combblas::triangles(g, 1).unwrap())

@@ -149,7 +149,7 @@ pub fn sgd_vs_gd(cfg: &ReproConfig) -> String {
 /// splitting into many mini-supersteps caps the buffer at the cost of
 /// extra barriers.
 pub fn giraph_split(cfg: &ReproConfig) -> String {
-    use graphmaze_core::engines::vertex::giraph;
+    use graphmaze_core::engines::vertex::{giraph, programs, Backend};
     let wl = cfg.workload(&WorkloadSpec::RmatTriangle {
         scale: cfg.target_scale,
         edge_factor: 8,
@@ -159,7 +159,9 @@ pub fn giraph_split(cfg: &ReproConfig) -> String {
     let factor = cfg.scale_factor(1_468_365_182, oriented.num_edges()); // Twitter-scale
     let mut rows = Vec::new();
     for splits in [1u32, 10, 100] {
-        let res = crate::with_work_scale(factor, || giraph::triangles_split(oriented, 4, splits));
+        let res = crate::with_work_scale(factor, || {
+            Backend::Bsp(giraph::config(splits)).run(programs::triangle_job(oriented), 4)
+        });
         match res {
             Ok((count, report)) => rows.push(vec![
                 splits.to_string(),
@@ -208,7 +210,7 @@ pub fn giraph_split(cfg: &ReproConfig) -> String {
 /// fixed by fusing A² with the mask.
 pub fn roadmap(cfg: &ReproConfig) -> String {
     use graphmaze_core::engines::spmv::combblas;
-    use graphmaze_core::engines::vertex::{giraph, graphlab};
+    use graphmaze_core::engines::vertex::{giraph, graphlab, programs, Backend};
     let params = standard_params();
     let wl = cfg.workload(&WorkloadSpec::Rmat {
         scale: cfg.target_scale,
@@ -227,6 +229,12 @@ pub fn roadmap(cfg: &ReproConfig) -> String {
     )
     .expect("native runs");
     let nt = native.seconds_per_iteration();
+    let improved = |cfg| {
+        let job = programs::pagerank_job(g, PAGERANK_R, params.pr_iterations);
+        crate::with_work_scale(factor, || Backend::Bsp(cfg).run(job, 4))
+            .expect("improved")
+            .1
+    };
 
     let mut rows = Vec::new();
     // GraphLab: sockets→MPI + prefetch + compression
@@ -240,10 +248,7 @@ pub fn roadmap(cfg: &ReproConfig) -> String {
             &params,
         )
         .expect("graphlab");
-        let after = crate::with_work_scale(factor, || {
-            graphlab::pagerank_improved(g, PAGERANK_R, params.pr_iterations, 4).expect("improved")
-        })
-        .1;
+        let after = improved(graphlab::config_improved());
         rows.push(vec![
             "graphlab (pagerank)".into(),
             "MPI + prefetch + compression".into(),
@@ -263,10 +268,7 @@ pub fn roadmap(cfg: &ReproConfig) -> String {
             &params,
         )
         .expect("giraph");
-        let after = crate::with_work_scale(factor, || {
-            giraph::pagerank_improved(g, PAGERANK_R, params.pr_iterations, 4).expect("improved")
-        })
-        .1;
+        let after = improved(giraph::config_improved(1));
         rows.push(vec![
             "giraph (pagerank)".into(),
             "10x network + 24 workers + streaming".into(),
@@ -452,7 +454,7 @@ pub fn strong_scaling(cfg: &ReproConfig) -> String {
 /// performance improvement compared to Giraph ... but much slower than
 /// native") and GraphX ("about 7X slower than GraphLab for pagerank").
 pub fn related_work(cfg: &ReproConfig) -> String {
-    use graphmaze_core::engines::vertex::{giraph, graphlab, related};
+    use graphmaze_core::engines::vertex::{giraph, graphlab, programs, related, Backend};
     let params = standard_params();
     let wl = cfg.workload(&WorkloadSpec::Rmat {
         scale: cfg.target_scale,
@@ -472,15 +474,18 @@ pub fn related_work(cfg: &ReproConfig) -> String {
     )
     .expect("native");
     let nt = native.seconds_per_iteration();
-    let run4 = |f: &dyn Fn() -> Result<graphmaze_core::metrics::RunReport, SimError>| -> f64 {
-        crate::with_work_scale(factor, f)
-            .expect("runs")
-            .seconds_per_iteration()
+    let run4 = |cfg| -> f64 {
+        crate::with_work_scale(factor, || {
+            Backend::Bsp(cfg).run(programs::pagerank_job(g, PAGERANK_R, it), 4)
+        })
+        .expect("runs")
+        .1
+        .seconds_per_iteration()
     };
-    let giraph_t = run4(&|| giraph::pagerank(g, PAGERANK_R, it, 4).map(|r| r.1));
-    let graphlab_t = run4(&|| graphlab::pagerank(g, PAGERANK_R, it, 4).map(|r| r.1));
-    let gps_t = run4(&|| related::gps_pagerank(g, PAGERANK_R, it, 4).map(|r| r.1));
-    let graphx_t = run4(&|| related::graphx_pagerank(g, PAGERANK_R, it, 4).map(|r| r.1));
+    let giraph_t = run4(giraph::config(1));
+    let graphlab_t = run4(graphlab::config());
+    let gps_t = run4(related::gps_config());
+    let graphx_t = run4(related::graphx_config());
     let rows = vec![
         vec![
             "gps".to_string(),
@@ -623,29 +628,18 @@ pub fn ablations(cfg: &ReproConfig) -> String {
 
     // (6) GraphLab hub replication: wire traffic with/without
     {
-        use graphmaze_core::engines::vertex::engine::run;
-        use graphmaze_core::engines::vertex::gas::Gas;
-        use graphmaze_core::engines::vertex::graphlab;
-        use graphmaze_core::engines::vertex::programs::PageRankProgram;
-        let with = graphlab::pagerank(g, PAGERANK_R, 3, 4).map_err(|e| e.to_string());
-        let mut cfg_no_rep = graphlab::config(5);
-        cfg_no_rep.replicate_hubs_factor = None;
-        let prog = PageRankProgram {
-            r: PAGERANK_R,
-            iterations: 3,
+        use graphmaze_core::engines::vertex::engine::EngineConfig;
+        use graphmaze_core::engines::vertex::{graphlab, programs, Backend};
+        let run = |cfg| {
+            Backend::Bsp(cfg)
+                .run(programs::pagerank_job(g, PAGERANK_R, 3), 4)
+                .map_err(|e| e.to_string())
         };
-        let without = run(
-            &g.out,
-            None,
-            &Gas(prog),
-            vec![1.0f64; g.num_vertices()],
-            vec![],
-            true,
-            &cfg_no_rep,
-            4,
-            1,
-        )
-        .map_err(|e| e.to_string());
+        let with = run(graphlab::config());
+        let without = run(EngineConfig {
+            replicate_hubs_factor: None,
+            ..graphlab::config()
+        });
         if let (Ok((_, w)), Ok((_, wo))) = (with, without) {
             out.push_str(&format!(
                 "(6) GraphLab hub replication — pagerank wire bytes {} -> {} ({:.2}x reduction)\n",

@@ -1,30 +1,28 @@
 //! The [`Engine`] trait: one uniform per-framework implementation of the
-//! paper's four algorithms.
+//! paper's four algorithms plus multi-source BFS.
 //!
-//! Before this trait existed, `run_benchmark` held a 28-arm
-//! `algorithm × framework` match; adding a framework meant touching four
-//! match arms plus digest plumbing. Now each framework implements
-//! [`Engine`] exactly once — `pagerank`, `bfs`, `triangles`, `cf`, each
-//! returning the uniform `(digest, RunReport)` pair — and the runner
-//! resolves it via [`Framework::engine`]. The digest is the
-//! cross-framework sanity check of [`crate::runner::RunOutcome`]: sum of
-//! ranks (PageRank), sum of finite distances (BFS), triangle count (TC),
-//! training RMSE (CF).
+//! Each framework implements [`Engine`] — `pagerank`, `bfs`,
+//! `triangles`, `cf` and optionally `msbfs`, each returning the uniform
+//! `(digest, RunReport)` pair — and the runner resolves it via
+//! [`Framework::engine`]. GraphLab, Giraph and GraphMat share one impl,
+//! [`GasEngine`]: the same `vertex::programs` job on a per-framework
+//! [`Backend`]. The digest is the cross-framework sanity check of
+//! [`crate::runner::RunOutcome`]: sum of ranks (PageRank), sum of finite
+//! distances (BFS, msbfs), triangle count (TC), training RMSE (CF).
 
 use graphmaze_cluster::SimError;
 use graphmaze_engines::datalog::socialite;
-use graphmaze_engines::graphmat;
 use graphmaze_engines::spmv::combblas;
 use graphmaze_engines::taskpar::galois;
-use graphmaze_engines::vertex::{giraph, graphlab};
+use graphmaze_engines::vertex::{giraph, graphlab, programs, Backend};
 use graphmaze_graph::csr::Csr;
 use graphmaze_graph::{DirectedGraph, RatingsGraph, UndirectedGraph};
 use graphmaze_metrics::RunReport;
 use graphmaze_native::{bfs, cf, msbfs, pagerank, triangle, NativeOptions, PAGERANK_R};
 
-use crate::runner::{BenchParams, Framework};
+use crate::runner::{Algorithm, BenchParams, Framework};
 
-/// A framework's implementation of the paper's four algorithms, each
+/// A framework's implementation of the benchmarked algorithms, each
 /// returning `(digest, RunReport)`.
 pub trait Engine: Sync {
     /// Short name for reports (matches [`Framework::name`]).
@@ -262,12 +260,19 @@ impl Engine for CombBlasEngine {
     }
 }
 
-/// GraphLab — vertex programs, sockets.
-pub struct GraphLabEngine;
+/// GraphLab, Giraph and GraphMat: every algorithm is the *same*
+/// `vertex::programs` job, run on the framework's [`Backend`] — the BSP
+/// vertex engine under GraphLab's (sockets, combiners, hub replication)
+/// or Giraph's (Hadoop BSP, whole-superstep buffering) configuration, or
+/// the GraphMat lowering onto masked SpMSpV.
+pub struct GasEngine {
+    name: &'static str,
+    backend: fn(Algorithm, &BenchParams) -> Backend,
+}
 
-impl Engine for GraphLabEngine {
+impl Engine for GasEngine {
     fn name(&self) -> &'static str {
-        "graphlab"
+        self.name
     }
 
     fn pagerank(
@@ -276,7 +281,8 @@ impl Engine for GraphLabEngine {
         nodes: usize,
         params: &BenchParams,
     ) -> Result<(f64, RunReport), SimError> {
-        let (ranks, report) = graphlab::pagerank(g, PAGERANK_R, params.pr_iterations, nodes)?;
+        let job = programs::pagerank_job(g, PAGERANK_R, params.pr_iterations);
+        let (ranks, report) = (self.backend)(Algorithm::PageRank, params).run(job, nodes)?;
         Ok((ranks.iter().sum(), report))
     }
 
@@ -285,9 +291,10 @@ impl Engine for GraphLabEngine {
         g: &UndirectedGraph,
         source: u32,
         nodes: usize,
-        _params: &BenchParams,
+        params: &BenchParams,
     ) -> Result<(f64, RunReport), SimError> {
-        let (dist, report) = graphlab::bfs(g, source, nodes)?;
+        let job = programs::bfs_job(g, source);
+        let (dist, report) = (self.backend)(Algorithm::Bfs, params).run(job, nodes)?;
         Ok((bfs_digest(&dist), report))
     }
 
@@ -295,9 +302,10 @@ impl Engine for GraphLabEngine {
         &self,
         g: &Csr,
         nodes: usize,
-        _params: &BenchParams,
+        params: &BenchParams,
     ) -> Result<(f64, RunReport), SimError> {
-        let (count, report) = graphlab::triangles(g, nodes)?;
+        let job = programs::triangle_job(g);
+        let (count, report) = (self.backend)(Algorithm::TriangleCount, params).run(job, nodes)?;
         Ok((count as f64, report))
     }
 
@@ -307,14 +315,15 @@ impl Engine for GraphLabEngine {
         nodes: usize,
         params: &BenchParams,
     ) -> Result<(f64, RunReport), SimError> {
-        let (vals, report) = graphlab::cf_gd(
+        let job = programs::cf_gd_job(
             g,
             params.cf.k,
             params.cf.lambda,
             params.cf.gamma0,
             params.cf_iterations,
-            nodes,
-        )?;
+        );
+        let (vals, report) =
+            (self.backend)(Algorithm::CollaborativeFiltering, params).run(job, nodes)?;
         Ok((cf_rmse_rows(g, &vals), report))
     }
 
@@ -323,9 +332,10 @@ impl Engine for GraphLabEngine {
         g: &UndirectedGraph,
         sources: &[u32],
         nodes: usize,
-        _params: &BenchParams,
+        params: &BenchParams,
     ) -> Result<(f64, RunReport), SimError> {
-        let (rows, report) = graphlab::msbfs(g, sources, nodes)?;
+        let job = programs::msbfs_job(g, sources);
+        let (rows, report) = (self.backend)(Algorithm::MsBfs, params).run(job, nodes)?;
         Ok((msbfs_digest(&rows), report))
     }
 }
@@ -397,75 +407,6 @@ impl Engine for SociaLiteEngine {
     }
 }
 
-/// Giraph — Hadoop BSP vertex programs.
-pub struct GiraphEngine;
-
-impl Engine for GiraphEngine {
-    fn name(&self) -> &'static str {
-        "giraph"
-    }
-
-    fn pagerank(
-        &self,
-        g: &DirectedGraph,
-        nodes: usize,
-        params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (ranks, report) = giraph::pagerank(g, PAGERANK_R, params.pr_iterations, nodes)?;
-        Ok((ranks.iter().sum(), report))
-    }
-
-    fn bfs(
-        &self,
-        g: &UndirectedGraph,
-        source: u32,
-        nodes: usize,
-        _params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (dist, report) = giraph::bfs(g, source, nodes)?;
-        Ok((bfs_digest(&dist), report))
-    }
-
-    fn triangles(
-        &self,
-        g: &Csr,
-        nodes: usize,
-        params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (count, report) = giraph::triangles_split(g, nodes, params.giraph_splits)?;
-        Ok((count as f64, report))
-    }
-
-    fn cf(
-        &self,
-        g: &RatingsGraph,
-        nodes: usize,
-        params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (vals, report) = giraph::cf_gd(
-            g,
-            params.cf.k,
-            params.cf.lambda,
-            params.cf.gamma0,
-            params.cf_iterations,
-            nodes,
-            params.giraph_splits,
-        )?;
-        Ok((cf_rmse_rows(g, &vals), report))
-    }
-
-    fn msbfs(
-        &self,
-        g: &UndirectedGraph,
-        sources: &[u32],
-        nodes: usize,
-        _params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (rows, report) = giraph::msbfs(g, sources, nodes)?;
-        Ok((msbfs_digest(&rows), report))
-    }
-}
-
 /// Galois — task-based, single node only.
 pub struct GaloisEngine;
 
@@ -516,88 +457,33 @@ impl Engine for GaloisEngine {
     }
 }
 
-/// GraphMat — vertex programs auto-lowered onto the masked-SpMSpV
-/// backend; every algorithm below is the *same* `GasProgram` the vertex
-/// engines run, compiled rather than re-implemented.
-pub struct GraphMatEngine;
-
-impl Engine for GraphMatEngine {
-    fn name(&self) -> &'static str {
-        "graphmat"
-    }
-
-    fn pagerank(
-        &self,
-        g: &DirectedGraph,
-        nodes: usize,
-        params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (ranks, report) = graphmat::pagerank(g, PAGERANK_R, params.pr_iterations, nodes)?;
-        Ok((ranks.iter().sum(), report))
-    }
-
-    fn bfs(
-        &self,
-        g: &UndirectedGraph,
-        source: u32,
-        nodes: usize,
-        _params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (dist, report) = graphmat::bfs(g, source, nodes)?;
-        Ok((bfs_digest(&dist), report))
-    }
-
-    fn triangles(
-        &self,
-        g: &Csr,
-        nodes: usize,
-        _params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (count, report) = graphmat::triangles(g, nodes)?;
-        Ok((count as f64, report))
-    }
-
-    fn cf(
-        &self,
-        g: &RatingsGraph,
-        nodes: usize,
-        params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (vals, report) = graphmat::cf_gd(
-            g,
-            params.cf.k,
-            params.cf.lambda,
-            params.cf.gamma0,
-            params.cf_iterations,
-            nodes,
-        )?;
-        Ok((cf_rmse_rows(g, &vals), report))
-    }
-
-    fn msbfs(
-        &self,
-        g: &UndirectedGraph,
-        sources: &[u32],
-        nodes: usize,
-        _params: &BenchParams,
-    ) -> Result<(f64, RunReport), SimError> {
-        let (rows, report) = graphmat::msbfs(g, sources, nodes)?;
-        Ok((msbfs_digest(&rows), report))
-    }
-}
-
 static NATIVE: NativeEngine = NativeEngine;
 static COMBBLAS: CombBlasEngine = CombBlasEngine;
-static GRAPHLAB: GraphLabEngine = GraphLabEngine;
+static GRAPHLAB: GasEngine = GasEngine {
+    name: "graphlab",
+    backend: |_, _| Backend::Bsp(graphlab::config()),
+};
 static SOCIALITE: SociaLiteEngine = SociaLiteEngine { optimized: true };
 static SOCIALITE_UNOPT: SociaLiteEngine = SociaLiteEngine { optimized: false };
-static GIRAPH: GiraphEngine = GiraphEngine;
+static GIRAPH: GasEngine = GasEngine {
+    name: "giraph",
+    // superstep splitting is the §6.1.3 fix for the two algorithms whose
+    // messages are whole vectors
+    backend: |algorithm, params| {
+        Backend::Bsp(giraph::config(match algorithm {
+            Algorithm::TriangleCount | Algorithm::CollaborativeFiltering => params.giraph_splits,
+            _ => 1,
+        }))
+    },
+};
 static GALOIS: GaloisEngine = GaloisEngine;
-static GRAPHMAT: GraphMatEngine = GraphMatEngine;
+static GRAPHMAT: GasEngine = GasEngine {
+    name: "graphmat",
+    backend: |_, _| Backend::GraphMat,
+};
 
 impl Framework {
-    /// The framework's [`Engine`] implementation. This is the *only*
-    /// per-framework dispatch point in the workspace.
+    /// The framework's [`Engine`] implementation.
     pub fn engine(&self) -> &'static dyn Engine {
         match self {
             Framework::Native => &NATIVE,

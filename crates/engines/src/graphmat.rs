@@ -4,9 +4,9 @@
 //! productive abstraction onto the optimized one: users keep writing
 //! "think like a vertex" programs, the backend runs generalized sparse
 //! matrix–vector products. This engine is that lowering over our
-//! existing machinery — any declarative [`GasProgram`] executes as one
-//! masked SpMSpV per superstep on the 2-D [`DistMatrix`] decomposition,
-//! with no per-program code:
+//! existing machinery — any [`GasJob`] executes as one masked SpMSpV per
+//! superstep on the 2-D [`DistMatrix`] decomposition, with no
+//! per-program code:
 //!
 //! * the **scatter frontier** (every vertex broadcasts one message to
 //!   all out-neighbors, the GAS invariant) is the sparse input vector
@@ -29,18 +29,14 @@
 //! communication pattern of `DistMatrix::spmspv_transpose_opt`.
 
 use graphmaze_cluster::{ClusterSpec, ExecProfile, Router, Sim, SimError};
-use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{RatingsGraph, VertexId};
+use graphmaze_graph::csr::Csr;
+use graphmaze_graph::VertexId;
 use graphmaze_metrics::{RunReport, Work};
 
 use crate::spmv::matrix::DistMatrix;
 use crate::spmv::semiring::{GatherMonoid, SparseAccumulator};
 use crate::vertex::engine::VertexGraphView;
-use crate::vertex::gas::{ApplyContext, GasProgram, GatherMode, Gathered};
-use crate::vertex::programs::{
-    msbfs_rows, msbfs_seed_msgs, pack_bipartite, BfsProgram, CfGdProgram, MsBfsProgram,
-    PageRankProgram, TriangleProgram, BFS_UNREACHED,
-};
+use crate::vertex::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
 
 /// Streaming phases assumed for transient frontier/SPA buffers (the
 /// backend never buffers a whole superstep; mirrors the vertex engine's
@@ -76,37 +72,26 @@ enum Delivery<M> {
     All(Vec<M>),
 }
 
-/// Runs `program` to completion (or `max_supersteps`) by lowering it to
-/// per-superstep masked SpMSpV over `out_csr`'s 2-D block decomposition.
+/// Runs `job` to completion (or `job.max_supersteps`) by lowering it to
+/// per-superstep masked SpMSpV over the graph's 2-D block decomposition.
 /// Semantics — activation, halting, waking on delivery, the global
 /// aggregator, termination — replicate the BSP vertex engine, so any
 /// program produces the same values it would under Giraph/GraphLab.
-#[allow(clippy::too_many_arguments)]
-pub fn run<P: GasProgram>(
-    out_csr: &Csr,
-    weights: Option<&[f32]>,
-    program: &P,
-    mut values: Vec<P::Value>,
-    initial_msgs: Vec<(VertexId, P::Msg)>,
-    activate_all: bool,
-    max_supersteps: u32,
+pub(crate) fn run<P: GasProgram, R>(
+    job: GasJob<'_, P, R>,
     nodes: usize,
-    iterations_per_superstep_group: u32,
-) -> Result<(Vec<P::Value>, RunReport), SimError> {
+) -> Result<(R, RunReport), SimError> {
+    let program = &job.program;
+    let out_csr: &Csr = &job.graph;
     let n = out_csr.num_vertices();
+    let mut values = job.values;
     assert_eq!(values.len(), n, "one value per vertex");
-    if let Some(w) = weights {
-        assert_eq!(w.len(), out_csr.targets().len(), "one weight per edge");
-    }
+    let view = VertexGraphView::new(out_csr, job.weights.as_deref());
     let profile = ExecProfile::graphmat();
     let mut sim = Sim::new(ClusterSpec::paper(nodes), profile);
     let mut router = Router::with_config(nodes, profile.router);
     let matrix = DistMatrix::new_nearly_square(out_csr, nodes);
     let grid = matrix.grid();
-    let view = VertexGraphView {
-        out: out_csr,
-        weights,
-    };
 
     // static allocations: each process's block of A (4 B col id + 8 B
     // entry per nnz) plus its segments of the value and SPA vectors
@@ -124,14 +109,14 @@ pub fn run<P: GasProgram>(
     // order — exactly the vertex engine's pre-seeded inboxes
     match &mut inbox {
         Inbox::Fold(monoid, spa) => {
-            for (v, m) in &initial_msgs {
+            for (v, m) in &job.seeds {
                 spa.scatter(*v, |acc| {
                     (monoid.combine)(&acc.unwrap_or_else(|| monoid.identity.clone()), m)
                 });
             }
         }
         Inbox::Collect(spa) => {
-            for (v, m) in &initial_msgs {
+            for (v, m) in &job.seeds {
                 spa.scatter(*v, |acc| {
                     let mut list = acc.unwrap_or_default();
                     list.push(m.clone());
@@ -141,8 +126,8 @@ pub fn run<P: GasProgram>(
         }
     }
 
-    let mut active: Vec<bool> = vec![activate_all; n];
-    if !activate_all {
+    let mut active: Vec<bool> = vec![job.activate_all; n];
+    if !job.activate_all {
         for &v in inbox.indices() {
             active[v as usize] = true;
         }
@@ -150,7 +135,7 @@ pub fn run<P: GasProgram>(
 
     let mut superstep = 0u32;
     let mut prev_aggregate = 0.0f64;
-    while superstep < max_supersteps {
+    while superstep < job.max_supersteps {
         if !active.iter().any(|&a| a) {
             break;
         }
@@ -288,8 +273,8 @@ pub fn run<P: GasProgram>(
             active[v as usize] = true;
         }
         superstep += 1;
-        if iterations_per_superstep_group > 0
-            && superstep.is_multiple_of(iterations_per_superstep_group)
+        if job.supersteps_per_iteration > 0
+            && superstep.is_multiple_of(job.supersteps_per_iteration)
         {
             sim.end_iteration();
         }
@@ -297,144 +282,15 @@ pub fn run<P: GasProgram>(
             break;
         }
     }
-    Ok((values, sim.finish()))
-}
-
-/// PageRank lowered onto SpMV — the paper's eq. (9) recovered
-/// automatically from Algorithm 1's vertex program.
-pub fn pagerank(
-    g: &DirectedGraph,
-    r: f64,
-    iterations: u32,
-    nodes: usize,
-) -> Result<(Vec<f64>, RunReport), SimError> {
-    let prog = PageRankProgram { r, iterations };
-    let init = vec![1.0f64; g.num_vertices()];
-    run(
-        &g.out,
-        None,
-        &prog,
-        init,
-        vec![],
-        true,
-        iterations + 2,
-        nodes,
-        1,
-    )
-}
-
-/// BFS lowered onto masked SpMSpV — eq. (10) with the settled set as
-/// the complement mask.
-pub fn bfs(
-    g: &UndirectedGraph,
-    source: VertexId,
-    nodes: usize,
-) -> Result<(Vec<u32>, RunReport), SimError> {
-    let mut init = vec![BFS_UNREACHED; g.num_vertices()];
-    init[source as usize] = 0;
-    let max = g.num_vertices() as u32 + 2;
-    run(
-        &g.adj,
-        None,
-        &BfsProgram,
-        init,
-        vec![(source, 0)],
-        false,
-        max,
-        nodes,
-        1,
-    )
-}
-
-/// Bit-parallel multi-source BFS: the word-wise OR gather lowers onto
-/// the `OR_PASS` algebra, one SpMSpV advancing all sources of a word.
-pub fn msbfs(
-    g: &UndirectedGraph,
-    sources: &[VertexId],
-    nodes: usize,
-) -> Result<(Vec<Vec<u32>>, RunReport), SimError> {
-    let prog = MsBfsProgram {
-        num_sources: sources.len(),
-    };
-    let init = vec![prog.initial_state(); g.num_vertices()];
-    let max = g.num_vertices() as u32 + 2;
-    let (values, report) = run(
-        &g.adj,
-        None,
-        &prog,
-        init,
-        msbfs_seed_msgs(sources),
-        false,
-        max,
-        nodes,
-        1,
-    )?;
-    Ok((msbfs_rows(&values, sources.len()), report))
-}
-
-/// Triangle counting on a DAG orientation: collect-mode neighbor lists
-/// stream through the SPA instead of being buffered whole.
-pub fn triangles(oriented: &Csr, nodes: usize) -> Result<(u64, RunReport), SimError> {
-    let (values, report) = run(
-        oriented,
-        None,
-        &TriangleProgram,
-        vec![0u64; oriented.num_vertices()],
-        vec![],
-        true,
-        4,
-        nodes,
-        2,
-    )?;
-    Ok((values.iter().sum(), report))
-}
-
-/// Collaborative filtering by alternating GD, factor vectors exchanged
-/// as collect-mode SpMSpV products over the bipartite adjacency.
-pub fn cf_gd(
-    g: &RatingsGraph,
-    k: usize,
-    lambda: f64,
-    gamma: f64,
-    iterations: u32,
-    nodes: usize,
-) -> Result<(Vec<Vec<f64>>, RunReport), SimError> {
-    let (csr, weights) = pack_bipartite(g);
-    let prog = CfGdProgram {
-        num_users: g.num_users(),
-        k,
-        lambda,
-        gamma,
-        iterations,
-    };
-    let init: Vec<Vec<f64>> = (0..csr.num_vertices())
-        .map(|i| {
-            (0..k)
-                .map(|j| {
-                    let x = (i as u64 * 31 + j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    (x >> 11) as f64 / (1u64 << 53) as f64 * 0.1
-                })
-                .collect()
-        })
-        .collect();
-    run(
-        &csr,
-        Some(&weights),
-        &prog,
-        init,
-        vec![],
-        true,
-        2 * iterations + 2,
-        nodes,
-        2,
-    )
+    Ok(((job.finish)(program, values), sim.finish()))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::vertex::{giraph, graphlab};
+    use crate::vertex::programs::{bfs_job, msbfs_job, pagerank_job, triangle_job};
+    use crate::vertex::{giraph, graphlab, Backend};
     use graphmaze_datagen::{rmat, RmatConfig, RmatParams};
+    use graphmaze_graph::csr::{DirectedGraph, UndirectedGraph};
     use graphmaze_native::pagerank::pagerank as native_pagerank;
     use graphmaze_native::triangle::{orient_and_sort, triangles as native_triangles};
     use graphmaze_native::PAGERANK_R;
@@ -454,8 +310,9 @@ mod tests {
     fn pagerank_is_bit_identical_to_giraph() {
         let el = rmat_el(9, 31);
         let g = DirectedGraph::from_edge_list(&el);
-        let (want, _) = giraph::pagerank(&g, PAGERANK_R, 5, 4).unwrap();
-        let (got, _) = pagerank(&g, PAGERANK_R, 5, 4).unwrap();
+        let job = || pagerank_job(&g, PAGERANK_R, 5);
+        let (want, _) = Backend::Bsp(giraph::config(1)).run(job(), 4).unwrap();
+        let (got, _) = Backend::GraphMat.run(job(), 4).unwrap();
         assert_eq!(got, want, "lowered PageRank must replay the inbox fold");
         let native = native_pagerank(&g, PAGERANK_R, 5, 2);
         for (a, b) in got.iter().zip(&native) {
@@ -469,7 +326,7 @@ mod tests {
         el.remove_self_loops();
         el.symmetrize();
         let g = UndirectedGraph::from_symmetric_edge_list(&el);
-        let (dist, _) = bfs(&g, 0, 4).unwrap();
+        let (dist, _) = Backend::GraphMat.run(bfs_job(&g, 0), 4).unwrap();
         let want = graphmaze_native::bfs::bfs(&g, 0, 2);
         assert_eq!(dist, want);
     }
@@ -481,7 +338,7 @@ mod tests {
         el.symmetrize();
         let g = UndirectedGraph::from_symmetric_edge_list(&el);
         let sources: Vec<u32> = (0..65u32).collect(); // spans two words
-        let (rows, _) = msbfs(&g, &sources, 4).unwrap();
+        let (rows, _) = Backend::GraphMat.run(msbfs_job(&g, &sources), 4).unwrap();
         let want = graphmaze_native::msbfs::msbfs(&g, &sources, 2);
         assert_eq!(rows, want);
     }
@@ -491,7 +348,7 @@ mod tests {
         let el = rmat_el(9, 33);
         let oriented = orient_and_sort(&el);
         let want = native_triangles(&oriented, 2);
-        let (got, _) = triangles(&oriented, 4).unwrap();
+        let (got, _) = Backend::GraphMat.run(triangle_job(&oriented), 4).unwrap();
         assert_eq!(got, want);
     }
 
@@ -499,9 +356,10 @@ mod tests {
     fn closes_the_ninja_gap_but_never_beats_native() {
         let el = rmat_el(10, 36);
         let g = DirectedGraph::from_edge_list(&el);
-        let (_, gm) = pagerank(&g, PAGERANK_R, 5, 4).unwrap();
-        let (_, gi) = giraph::pagerank(&g, PAGERANK_R, 5, 4).unwrap();
-        let (_, gl) = graphlab::pagerank(&g, PAGERANK_R, 5, 4).unwrap();
+        let run = |backend: Backend| backend.run(pagerank_job(&g, PAGERANK_R, 5), 4).unwrap();
+        let (_, gm) = run(Backend::GraphMat);
+        let (_, gi) = run(Backend::Bsp(giraph::config(1)));
+        let (_, gl) = run(Backend::Bsp(graphlab::config()));
         let (_, native) = graphmaze_native::pagerank::pagerank_cluster(
             &g,
             PAGERANK_R,
@@ -531,8 +389,10 @@ mod tests {
         el.remove_self_loops();
         el.symmetrize();
         let g = UndirectedGraph::from_symmetric_edge_list(&el);
-        let (d1, gm) = bfs(&g, 0, 4).unwrap();
-        let (d2, gi) = giraph::bfs(&g, 0, 4).unwrap();
+        let (d1, gm) = Backend::GraphMat.run(bfs_job(&g, 0), 4).unwrap();
+        let (d2, gi) = Backend::Bsp(giraph::config(1))
+            .run(bfs_job(&g, 0), 4)
+            .unwrap();
         assert_eq!(d1, d2);
         assert!(
             gm.traffic.bytes_sent < gi.traffic.bytes_sent,

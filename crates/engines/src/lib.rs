@@ -25,6 +25,3 @@ pub mod graphmat;
 pub mod spmv;
 pub mod taskpar;
 pub mod vertex;
-
-/// Default number of PageRank iterations used by engine convenience APIs.
-pub const DEFAULT_PR_ITERATIONS: u32 = 20;

@@ -9,11 +9,13 @@
 //! routing), which [`EngineConfig`] captures.
 
 use graphmaze_cluster::{
-    ClusterSpec, Combiner, FlushPolicy, Mailbox, Partition1D, Router, RouterConfig, Sim, SimError,
+    ClusterSpec, Combiner, FlushPolicy, Mailbox, Partition1D, Router, Sim, SimError,
 };
 use graphmaze_graph::csr::Csr;
 use graphmaze_graph::VertexId;
 use graphmaze_metrics::{RunReport, Work};
+
+use super::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
 
 /// Read-only view of the graph a vertex program may consult: its own
 /// out-edges and degrees (a vertex program "can only access local data",
@@ -26,7 +28,15 @@ pub struct VertexGraphView<'a> {
     pub weights: Option<&'a [f32]>,
 }
 
-impl VertexGraphView<'_> {
+impl<'a> VertexGraphView<'a> {
+    /// A view over `out`; `weights`, when given, must align with its edges.
+    pub(crate) fn new(out: &'a Csr, weights: Option<&'a [f32]>) -> Self {
+        if let Some(w) = weights {
+            assert_eq!(w.len(), out.targets().len(), "one weight per edge");
+        }
+        VertexGraphView { out, weights }
+    }
+
     /// Out-neighbors of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
@@ -54,117 +64,25 @@ impl VertexGraphView<'_> {
         let idx = self.out.targets()[lo..hi].binary_search(&dst).ok()?;
         Some(w[lo + idx])
     }
-
-    /// `(neighbor, weight)` pairs of `v` (weight 0 when unweighted).
-    pub fn edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, f32)> + '_ {
-        let lo = self.out.offsets()[v as usize] as usize;
-        let hi = self.out.offsets()[v as usize + 1] as usize;
-        (lo..hi).map(move |i| (self.out.targets()[i], self.weights.map_or(0.0, |w| w[i])))
-    }
 }
 
-/// Per-vertex execution context: message emission, halting, and the
-/// global **aggregator** (Pregel/Giraph's mechanism for convergence
-/// detection: each vertex contributes a value, the engine sums them at
-/// the barrier, and every vertex reads the previous superstep's total).
-pub struct VertexContext<M> {
-    outgoing: Vec<(VertexId, M)>,
-    halt: bool,
-    aggregate: f64,
-    prev_aggregate: f64,
-}
-
-impl<M> VertexContext<M> {
-    fn new(prev_aggregate: f64) -> Self {
-        VertexContext {
-            outgoing: Vec::new(),
-            halt: false,
-            aggregate: 0.0,
-            prev_aggregate,
-        }
-    }
-
-    /// Sends `msg` to vertex `to`, delivered next superstep.
-    #[inline]
-    pub fn send(&mut self, to: VertexId, msg: M) {
-        self.outgoing.push((to, msg));
-    }
-
-    /// Votes to halt: the vertex stays inactive until a message wakes it.
-    #[inline]
-    pub fn vote_to_halt(&mut self) {
-        self.halt = true;
-    }
-
-    /// Adds to this superstep's global aggregate (summed at the barrier).
-    #[inline]
-    pub fn aggregate(&mut self, value: f64) {
-        self.aggregate += value;
-    }
-
-    /// The global aggregate of the *previous* superstep (0.0 at start).
-    #[inline]
-    pub fn prev_aggregate(&self) -> f64 {
-        self.prev_aggregate
-    }
-}
-
-/// A vertex program — the user code of GraphLab/Giraph (paper Algorithm 1
-/// and 2 are implementations of this trait).
-pub trait VertexProgram {
-    /// Per-vertex state.
-    type Value: Clone;
-    /// Message type.
-    type Msg: Clone;
-
-    /// One `Compute` call: receive `msgs`, update `value`, send messages.
-    fn compute(
-        &self,
-        superstep: u32,
-        v: VertexId,
-        value: &mut Self::Value,
-        msgs: &[Self::Msg],
-        g: &VertexGraphView<'_>,
-        ctx: &mut VertexContext<Self::Msg>,
-    );
-
-    /// Wire size of a message, bytes (paper Table 1's "message size").
-    fn message_bytes(&self, msg: &Self::Msg) -> u64;
-
-    /// In-memory size of a vertex value, bytes.
-    fn value_bytes(&self) -> u64;
-
-    /// Optional message combiner (GraphLab's local reduction). `None`
-    /// disables combining.
-    fn combine(&self, _a: &Self::Msg, _b: &Self::Msg) -> Option<Self::Msg> {
-        None
-    }
-
-    /// Arithmetic per received message (cost model).
-    fn flops_per_msg(&self) -> u64 {
-        2
-    }
-}
-
-/// Runtime mechanisms that differ between the vertex frameworks.
+/// Runtime mechanisms that differ between the vertex frameworks beyond
+/// what their [`graphmaze_cluster::ExecProfile`] already declares: the
+/// message plane (flush policy — `Barrier` is Giraph's whole-superstep
+/// buffering, §6.1.3 — per-message heap overhead, id compression) and
+/// speculative re-execution are read from `profile`.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Execution profile (comm layer, cores, overlap, per-step cost).
+    /// Execution profile (comm layer, cores, overlap, per-step cost,
+    /// router configuration, speculation).
     pub profile: graphmaze_cluster::ExecProfile,
-    /// Apply the program's combiner before messages leave a node.
+    /// Reduce messages with the program's gather monoid before they
+    /// leave a node (GraphLab's combiner).
     pub use_combiner: bool,
-    /// Buffer the whole superstep's messages in memory before sending
-    /// (Giraph's failure mode, §6.1.3) instead of streaming in phases.
-    pub buffer_whole_superstep: bool,
     /// Split each superstep into this many mini-supersteps, each
     /// processing a slice of vertices (the paper's Giraph fix: "breaking
     /// up each superstep into 100 smaller supersteps"). 1 = no split.
     pub superstep_splits: u32,
-    /// Per-buffered-message heap overhead, bytes (JVM object headers for
-    /// Giraph; 0 for C++ runtimes).
-    pub per_message_overhead_bytes: u64,
-    /// Maximum supersteps before the engine gives up.
-    pub max_supersteps: u32,
     /// High-degree replication threshold: vertices with degree ≥
     /// `threshold × average` are mirrored on every node, so one combined
     /// message per (hub, node) crosses the wire instead of one per edge —
@@ -172,66 +90,35 @@ pub struct EngineConfig {
     /// large degree are duplicated in multiple nodes" (§6.1.1).
     /// `None` disables replication.
     pub replicate_hubs_factor: Option<f64>,
-    /// Delta/bitmap-compress destination-id payloads of batched messages
-    /// — the §6.2 roadmap recommendation ("techniques like data
-    /// compression (bitvectors) ... should also help") applied to the
-    /// vertex runtimes. Stock GraphLab/Giraph do not do this.
-    pub compress_ids: bool,
-    /// Speculatively re-execute straggler slices on a buddy node
-    /// (Hadoop/Giraph-style speculative execution). Only takes effect
-    /// when the active fault plan carries link-level terms; the buddy's
-    /// duplicate result messages are suppressed by the Mailbox combiner
-    /// and never reach the wire.
-    pub speculative_reexec: bool,
 }
 
 /// Number of streaming phases assumed when messages are *not* buffered
 /// whole (mirrors native overlap blocking).
 const STREAM_PHASES: u64 = 16;
 
-/// Runs `program` to completion (or `max_supersteps`) on the simulated
-/// cluster. `initial_msgs` seeds vertex inboxes for superstep 0; every
-/// vertex with an initial message (or `activate_all`) is active first.
-///
-/// Returns final vertex values and the run report.
-#[allow(clippy::too_many_arguments)]
-pub fn run<P: VertexProgram>(
-    out_csr: &Csr,
-    weights: Option<&[f32]>,
-    program: &P,
-    mut values: Vec<P::Value>,
-    initial_msgs: Vec<(VertexId, P::Msg)>,
-    activate_all: bool,
+/// Runs `job` to completion (or `job.max_supersteps`) on the simulated
+/// cluster. Seed messages fill the superstep-0 inboxes; every seeded
+/// vertex (or every vertex, with `activate_all`) is active first. Each
+/// active vertex's inbox is gathered — left-folded from the monoid
+/// identity in arrival order, or handed over verbatim — applied, and the
+/// returned scatter message posted to every out-neighbor in adjacency
+/// order.
+pub(crate) fn run<P: GasProgram, R>(
+    job: GasJob<'_, P, R>,
     cfg: &EngineConfig,
     nodes: usize,
-    iterations_per_superstep_group: u32,
-) -> Result<(Vec<P::Value>, RunReport), SimError> {
+) -> Result<(R, RunReport), SimError> {
+    let program = &job.program;
+    let out_csr: &Csr = &job.graph;
     let n = out_csr.num_vertices();
+    let mut values = job.values;
     assert_eq!(values.len(), n, "one value per vertex");
-    if let Some(w) = weights {
-        assert_eq!(w.len(), out_csr.targets().len(), "one weight per edge");
-    }
+    let view = VertexGraphView::new(out_csr, job.weights.as_deref());
     let mut sim = Sim::new(ClusterSpec::paper(nodes), cfg.profile);
-    // the message plane, configured from the engine knobs (tests override
-    // individual EngineConfig fields, so derive from those rather than
-    // using the profile's RouterConfig verbatim)
-    let mut router = Router::with_config(
-        nodes,
-        RouterConfig {
-            flush: if cfg.buffer_whole_superstep {
-                FlushPolicy::Barrier
-            } else {
-                cfg.profile.router.flush
-            },
-            per_message_overhead_bytes: cfg.per_message_overhead_bytes,
-            compress_ids: cfg.compress_ids,
-        },
-    );
+    let mut router = Router::new(nodes, &cfg.profile);
+    let per_message_overhead_bytes = cfg.profile.router.per_message_overhead_bytes;
+    let buffer_whole_superstep = cfg.profile.router.flush == FlushPolicy::Barrier;
     let part = Partition1D::balanced_by_edges(out_csr, nodes);
-    let view = VertexGraphView {
-        out: out_csr,
-        weights,
-    };
 
     // static allocations: graph slice + values; the declared layout
     // lets an elastic plan's repartitioner weight its cuts by real
@@ -251,11 +138,24 @@ pub fn run<P: VertexProgram>(
     });
     let is_hub = |v: VertexId| -> bool { hub_threshold.is_some_and(|t| out_csr.degree(v) >= t) };
 
+    // the declared ⊕ reduces each inbox at apply time and, when the
+    // framework combines, doubles as the message plane's local reduction
+    let gather = program.gather();
+    let combine_fn;
+    let combine: Combiner<'_, P::Msg> = match &gather {
+        GatherMode::Fold(monoid) if cfg.use_combiner => {
+            let op = monoid.combine;
+            combine_fn = move |a: &P::Msg, b: &P::Msg| Some(op(a, b));
+            Some(&combine_fn)
+        }
+        _ => None,
+    };
+
     let mut inbox: Vec<Vec<P::Msg>> = (0..n).map(|_| Vec::new()).collect();
-    for (v, m) in initial_msgs {
+    for (v, m) in job.seeds {
         inbox[v as usize].push(m);
     }
-    let mut active: Vec<bool> = if activate_all {
+    let mut active: Vec<bool> = if job.activate_all {
         vec![true; n]
     } else {
         inbox.iter().map(|b| !b.is_empty()).collect()
@@ -267,7 +167,7 @@ pub fn run<P: VertexProgram>(
     // visible to every vertex in the next superstep (tiny allreduce —
     // 8 bytes per node pair, charged below)
     let mut prev_aggregate = 0.0f64;
-    while superstep < cfg.max_supersteps {
+    while superstep < job.max_supersteps {
         let any_active = active.iter().any(|&a| a);
         if !any_active {
             break;
@@ -308,12 +208,16 @@ pub fn run<P: VertexProgram>(
                         recv_bytes += program.message_bytes(m);
                     }
                     recv_msgs += msgs.len() as u64;
-                    let mut ctx = VertexContext::new(prev_aggregate);
-                    program.compute(
+                    let gathered = match &gather {
+                        GatherMode::Fold(monoid) => Gathered::Folded(monoid.fold(msgs.iter())),
+                        GatherMode::Collect => Gathered::All(&msgs),
+                    };
+                    let mut ctx = ApplyContext::new(prev_aggregate);
+                    let scatter = program.apply(
                         superstep,
                         v,
                         &mut values[v as usize],
-                        &msgs,
+                        gathered,
                         &view,
                         &mut ctx,
                     );
@@ -321,14 +225,15 @@ pub fn run<P: VertexProgram>(
                     if ctx.halt {
                         active[v as usize] = false;
                     }
-                    if is_hub(v) && !ctx.outgoing.is_empty() {
+                    let Some(msg) = scatter else { continue };
+                    if is_hub(v) {
                         // replication: deliver everywhere, but only one
                         // value per remote node hits the wire (mirrors
                         // hold the hub's local edges already)
+                        let bytes = program.message_bytes(&msg);
                         let mut sent_to = vec![false; nodes];
-                        for (dst, m) in ctx.outgoing {
+                        for &dst in view.neighbors(v) {
                             let dest = part.owner(dst);
-                            let bytes = program.message_bytes(&m);
                             sent_bytes_local += bytes;
                             sent_msgs_local += 1;
                             if dest != node && !sent_to[dest] {
@@ -336,23 +241,17 @@ pub fn run<P: VertexProgram>(
                                 hub_wire[dest] += 4 + bytes;
                             }
                             any_message = true;
-                            next_inbox[dst as usize].push(m);
+                            next_inbox[dst as usize].push(msg.clone());
                         }
                     } else {
-                        for (dst, m) in ctx.outgoing {
+                        for &dst in view.neighbors(v) {
                             sent_msgs_local += 1;
-                            mbox.post(part.owner(dst), dst, m);
+                            mbox.post(part.owner(dst), dst, msg.clone());
                         }
                     }
                 }
                 // local reduction, id compression, per-message overhead
                 // and wire routing all happen in the message plane
-                let combine_fn = |a: &P::Msg, b: &P::Msg| program.combine(a, b);
-                let combine: Combiner<'_, P::Msg> = if cfg.use_combiner {
-                    Some(&combine_fn)
-                } else {
-                    None
-                };
                 sent_bytes_local += mbox.flush(
                     &mut router,
                     &mut sim,
@@ -377,8 +276,10 @@ pub fn run<P: VertexProgram>(
                 // speculative re-execution: a straggling slice is re-run
                 // on a buddy node in parallel; the faster copy wins, so
                 // the slowdown is masked and the buddy's duplicate result
-                // messages are suppressed by the combiner (never wired)
-                if cfg.speculative_reexec
+                // messages are suppressed by the combiner (never wired).
+                // Only takes effect when the active fault plan carries
+                // link-level terms.
+                if cfg.profile.speculative_reexec
                     && nodes > 1
                     && sim.speculation_active()
                     && sim.straggler_at(node).is_some()
@@ -389,8 +290,8 @@ pub fn run<P: VertexProgram>(
                     sim.charge(node, w);
                 }
                 // buffering memory
-                let buffered = if cfg.buffer_whole_superstep {
-                    recv_bytes + sent_bytes_local + recv_msgs * cfg.per_message_overhead_bytes
+                let buffered = if buffer_whole_superstep {
+                    recv_bytes + sent_bytes_local + recv_msgs * per_message_overhead_bytes
                 } else {
                     (recv_bytes + sent_bytes_local) / STREAM_PHASES + 1
                 };
@@ -416,8 +317,8 @@ pub fn run<P: VertexProgram>(
             }
         }
         superstep += 1;
-        if iterations_per_superstep_group > 0
-            && superstep.is_multiple_of(iterations_per_superstep_group)
+        if job.supersteps_per_iteration > 0
+            && superstep.is_multiple_of(job.supersteps_per_iteration)
         {
             sim.end_iteration();
         }
@@ -425,38 +326,39 @@ pub fn run<P: VertexProgram>(
             break;
         }
     }
-    Ok((values, sim.finish()))
+    Ok(((job.finish)(program, values), sim.finish()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphmaze_cluster::ExecProfile;
+    use crate::spmv::semiring::GatherMonoid;
+    use graphmaze_cluster::{ExecProfile, RouterConfig};
 
     /// A toy program: every vertex floods its id once, each vertex counts
     /// the messages it receives, then halts.
     struct CountIncoming;
 
-    impl VertexProgram for CountIncoming {
+    impl GasProgram for CountIncoming {
         type Value = u32;
         type Msg = u32;
 
-        fn compute(
+        fn gather(&self) -> GatherMode<u32> {
+            GatherMode::Collect
+        }
+
+        fn apply(
             &self,
             superstep: u32,
             v: VertexId,
             value: &mut u32,
-            msgs: &[u32],
-            g: &VertexGraphView<'_>,
-            ctx: &mut VertexContext<u32>,
-        ) {
-            if superstep == 0 {
-                for &d in g.neighbors(v) {
-                    ctx.send(d, v);
-                }
-            }
-            *value += msgs.len() as u32;
+            gathered: Gathered<'_, u32>,
+            _g: &VertexGraphView<'_>,
+            ctx: &mut ApplyContext,
+        ) -> Option<u32> {
+            *value += gathered.all().len() as u32;
             ctx.vote_to_halt();
+            (superstep == 0).then_some(v)
         }
 
         fn message_bytes(&self, _: &u32) -> u64 {
@@ -472,13 +374,8 @@ mod tests {
         EngineConfig {
             profile: ExecProfile::graphlab(),
             use_combiner: false,
-            buffer_whole_superstep: false,
             superstep_splits: 1,
-            per_message_overhead_bytes: 0,
-            max_supersteps: 10,
             replicate_hubs_factor: None,
-            compress_ids: false,
-            speculative_reexec: false,
         }
     }
 
@@ -487,18 +384,8 @@ mod tests {
         // Figure 2 graph: in-degrees 0,1,2,2
         let csr = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
         for nodes in [1, 2, 4] {
-            let (values, report) = run(
-                &csr,
-                None,
-                &CountIncoming,
-                vec![0u32; 4],
-                vec![],
-                true,
-                &engine_cfg(),
-                nodes,
-                1,
-            )
-            .unwrap();
+            let job = GasJob::new(&csr, CountIncoming, vec![0u32; 4], 10);
+            let (values, report) = run(job, &engine_cfg(), nodes).unwrap();
             assert_eq!(values, vec![0, 1, 2, 2], "nodes={nodes}");
             assert!(report.steps >= 2);
         }
@@ -507,45 +394,38 @@ mod tests {
     #[test]
     fn halting_terminates_early() {
         let csr = Csr::from_edges(3, &[(0, 1), (1, 2)]);
-        let (_, report) = run(
-            &csr,
-            None,
-            &CountIncoming,
-            vec![0u32; 3],
-            vec![],
-            true,
-            &engine_cfg(),
-            2,
-            1,
-        )
-        .unwrap();
+        let job = GasJob::new(&csr, CountIncoming, vec![0u32; 3], 10);
+        let (_, report) = run(job, &engine_cfg(), 2).unwrap();
         // flood, deliver, then quiesce well before max_supersteps
         assert!(report.steps < 10, "steps {}", report.steps);
     }
 
-    /// Summing program with a combiner.
+    /// Summing program over the `(+, 0)` u64 monoid.
     struct SumFlood;
 
-    impl VertexProgram for SumFlood {
+    impl GasProgram for SumFlood {
         type Value = u64;
         type Msg = u64;
 
-        fn compute(
+        fn gather(&self) -> GatherMode<u64> {
+            GatherMode::Fold(GatherMonoid {
+                identity: 0,
+                combine: |a, b| a + b,
+            })
+        }
+
+        fn apply(
             &self,
             superstep: u32,
             v: VertexId,
             value: &mut u64,
-            msgs: &[u64],
-            g: &VertexGraphView<'_>,
-            ctx: &mut VertexContext<u64>,
-        ) {
-            if superstep == 0 {
-                for &d in g.neighbors(v) {
-                    ctx.send(d, u64::from(v) + 1);
-                }
-            }
-            *value += msgs.iter().sum::<u64>();
+            gathered: Gathered<'_, u64>,
+            _g: &VertexGraphView<'_>,
+            ctx: &mut ApplyContext,
+        ) -> Option<u64> {
+            *value += gathered.folded();
             ctx.vote_to_halt();
+            (superstep == 0).then_some(u64::from(v) + 1)
         }
 
         fn message_bytes(&self, _: &u64) -> u64 {
@@ -555,10 +435,6 @@ mod tests {
         fn value_bytes(&self) -> u64 {
             8
         }
-
-        fn combine(&self, a: &u64, b: &u64) -> Option<u64> {
-            Some(a + b)
-        }
     }
 
     #[test]
@@ -566,34 +442,13 @@ mod tests {
         // many parallel edges to one target across a node boundary
         let edges: Vec<(u32, u32)> = (0..50u32).map(|i| (i, 99)).collect();
         let csr = Csr::from_edges(100, &edges);
-        let mut with = engine_cfg();
-        with.use_combiner = true;
-        let mut without = engine_cfg();
-        without.use_combiner = false;
-        let (va, ra) = run(
-            &csr,
-            None,
-            &SumFlood,
-            vec![0u64; 100],
-            vec![],
-            true,
-            &with,
-            4,
-            1,
-        )
-        .unwrap();
-        let (vb, rb) = run(
-            &csr,
-            None,
-            &SumFlood,
-            vec![0u64; 100],
-            vec![],
-            true,
-            &without,
-            4,
-            1,
-        )
-        .unwrap();
+        let job = || GasJob::new(&csr, SumFlood, vec![0u64; 100], 10);
+        let with = EngineConfig {
+            use_combiner: true,
+            ..engine_cfg()
+        };
+        let (va, ra) = run(job(), &with, 4).unwrap();
+        let (vb, rb) = run(job(), &engine_cfg(), 4).unwrap();
         assert_eq!(va, vb);
         assert_eq!(va[99], (1..=50).sum::<u64>());
         assert!(
@@ -610,35 +465,16 @@ mod tests {
             .flat_map(|i| [(i, (i + 1) % 64), (i, (i + 7) % 64)])
             .collect();
         let csr = Csr::from_edges(64, &edges);
+        let job = || GasJob::new(&csr, SumFlood, vec![0u64; 64], 10);
+        // Giraph's message plane: whole-superstep buffering, 48 B/message
         let mut whole = engine_cfg();
-        whole.buffer_whole_superstep = true;
-        whole.per_message_overhead_bytes = 48;
-        let mut split = whole;
-        split.superstep_splits = 8;
-        let (va, ra) = run(
-            &csr,
-            None,
-            &SumFlood,
-            vec![0u64; 64],
-            vec![],
-            true,
-            &whole,
-            2,
-            1,
-        )
-        .unwrap();
-        let (vb, rb) = run(
-            &csr,
-            None,
-            &SumFlood,
-            vec![0u64; 64],
-            vec![],
-            true,
-            &split,
-            2,
-            1,
-        )
-        .unwrap();
+        whole.profile.router = RouterConfig::barrier().with_overhead(48);
+        let split = EngineConfig {
+            superstep_splits: 8,
+            ..whole
+        };
+        let (va, ra) = run(job(), &whole, 2).unwrap();
+        let (vb, rb) = run(job(), &split, 2).unwrap();
         assert_eq!(va, vb);
         assert!(rb.steps > ra.steps, "split produces more barriers");
         assert!(
@@ -653,19 +489,24 @@ mod tests {
     fn initial_messages_seed_activity() {
         let csr = Csr::from_edges(3, &[(0, 1), (1, 2)]);
         // only vertex 1 starts active, via an initial message
-        let (values, _) = run(
-            &csr,
-            None,
-            &CountIncoming,
-            vec![0u32; 3],
-            vec![(1, 7)],
-            false,
-            &engine_cfg(),
-            1,
-            1,
-        )
-        .unwrap();
+        let job = GasJob {
+            seeds: vec![(1, 7)],
+            activate_all: false,
+            ..GasJob::new(&csr, CountIncoming, vec![0u32; 3], 10)
+        };
+        let (values, _) = run(job, &engine_cfg(), 1).unwrap();
         // vertex 1 counts its initial message; vertex 2 counts the flood from 1
         assert_eq!(values, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn empty_inbox_folds_to_the_identity_and_scatter_is_broadcast() {
+        // 0 -> {1, 2}, 1 -> {2}
+        let csr = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+        let job = GasJob::new(&csr, SumFlood, vec![0u64; 3], 10);
+        let (values, _) = run(job, &engine_cfg(), 1).unwrap();
+        // superstep 0: everyone applies an empty (identity) gather, then
+        // floods v+1; superstep 1: 1 gets 1, 2 gets 1 + 2
+        assert_eq!(values, vec![0, 1, 3]);
     }
 }

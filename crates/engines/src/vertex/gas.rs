@@ -1,5 +1,5 @@
 //! The gather–apply–scatter (GAS) intermediate representation of vertex
-//! programs — the declarative form every framework binding consumes.
+//! programs — the declarative form every backend consumes.
 //!
 //! A [`GasProgram`] splits the monolithic `compute` of the classic
 //! vertex model into three lowerable parts:
@@ -18,16 +18,20 @@
 //!   program lowerable onto SpMV: the scatter frontier is exactly a
 //!   sparse input vector.
 //!
-//! The [`Gas`] newtype is the compatibility shim: it implements the
-//! imperative [`VertexProgram`] trait for any `GasProgram`, folding the
-//! inbox with the declared monoid in arrival order — bit-identical to
-//! the historical hand-written `compute` bodies — so the Giraph/GraphLab
-//! engines run unchanged while `engines::graphmat` lowers the same
-//! program onto masked SpMSpV.
+//! A [`GasJob`] is a program plus everything else that is a property of
+//! the *algorithm* (graph view, initial values, seed messages, superstep
+//! cap, result finalizer); a [`Backend`] is where it runs. Running job
+//! `J` on backend `B` is `B.run(J, nodes)` — the only way to execute a
+//! GAS program.
 
+use std::borrow::Cow;
+
+use graphmaze_cluster::SimError;
+use graphmaze_graph::csr::Csr;
 use graphmaze_graph::VertexId;
+use graphmaze_metrics::RunReport;
 
-use super::engine::{VertexContext, VertexGraphView, VertexProgram};
+use super::engine::{EngineConfig, VertexGraphView};
 use crate::spmv::semiring::GatherMonoid;
 
 /// How a program's gather step reduces the messages addressed to a
@@ -119,8 +123,7 @@ pub trait GasProgram {
     /// Message type.
     type Msg: Clone;
 
-    /// The gather algebra — consulted once per superstep by lowering
-    /// engines, per vertex by the compatibility shim.
+    /// The gather algebra — consulted once per run by both backends.
     fn gather(&self) -> GatherMode<Self::Msg>;
 
     /// One apply step: consume the gathered inbox, update `value`, and
@@ -157,151 +160,71 @@ pub trait GasProgram {
     }
 }
 
-/// Compatibility shim: runs a declarative [`GasProgram`] on the
-/// imperative [`VertexProgram`] engines (Giraph, GraphLab, GPS, GraphX).
-/// The inbox is folded left-to-right from the monoid identity in arrival
-/// order, reproducing the historical `compute` bodies bit-for-bit; the
-/// declared ⊕ also becomes the engine-level message combiner.
-pub struct Gas<P>(pub P);
+/// One run of a [`GasProgram`]: the program plus everything that is a
+/// property of the *algorithm* rather than of the framework executing it.
+/// `vertex::programs` has one constructor per paper algorithm.
+pub struct GasJob<'g, P: GasProgram, R = Vec<<P as GasProgram>::Value>> {
+    /// Out-adjacency the program runs over (CF owns its packed bipartite
+    /// CSR; every other algorithm borrows a workload view).
+    pub graph: Cow<'g, Csr>,
+    /// Optional edge weights aligned with `graph.targets()`.
+    pub weights: Option<Vec<f32>>,
+    /// The vertex program.
+    pub program: P,
+    /// Initial per-vertex values.
+    pub values: Vec<P::Value>,
+    /// Messages seeding the superstep-0 inboxes, in delivery order.
+    pub seeds: Vec<(VertexId, P::Msg)>,
+    /// Whether every vertex starts active (otherwise only seeded ones).
+    pub activate_all: bool,
+    /// Supersteps after which the backend gives up.
+    pub max_supersteps: u32,
+    /// Supersteps per reported iteration (CF and TC take two).
+    pub supersteps_per_iteration: u32,
+    /// Turns the final vertex values into the algorithm's result.
+    pub finish: fn(&P, Vec<P::Value>) -> R,
+}
 
-impl<P: GasProgram> VertexProgram for Gas<P> {
-    type Value = P::Value;
-    type Msg = P::Msg;
-
-    fn compute(
-        &self,
-        superstep: u32,
-        v: VertexId,
-        value: &mut Self::Value,
-        msgs: &[Self::Msg],
-        g: &VertexGraphView<'_>,
-        ctx: &mut VertexContext<Self::Msg>,
-    ) {
-        let mut actx = ApplyContext::new(ctx.prev_aggregate());
-        let scatter = match self.0.gather() {
-            GatherMode::Fold(monoid) => {
-                let folded = monoid.fold(msgs.iter());
-                self.0
-                    .apply(superstep, v, value, Gathered::Folded(folded), g, &mut actx)
-            }
-            GatherMode::Collect => {
-                self.0
-                    .apply(superstep, v, value, Gathered::All(msgs), g, &mut actx)
-            }
-        };
-        ctx.aggregate(actx.aggregate);
-        if actx.halt {
-            ctx.vote_to_halt();
+impl<'g, P: GasProgram> GasJob<'g, P> {
+    /// A job over a borrowed, unweighted graph in which every vertex
+    /// starts active, one superstep is one iteration and the result is
+    /// the final vertex values.
+    pub fn new(graph: &'g Csr, program: P, values: Vec<P::Value>, max_supersteps: u32) -> Self {
+        GasJob {
+            graph: Cow::Borrowed(graph),
+            weights: None,
+            program,
+            values,
+            seeds: vec![],
+            activate_all: true,
+            max_supersteps,
+            supersteps_per_iteration: 1,
+            finish: |_, values| values,
         }
-        if let Some(msg) = scatter {
-            for &dst in g.neighbors(v) {
-                ctx.send(dst, msg.clone());
-            }
-        }
-    }
-
-    fn message_bytes(&self, msg: &Self::Msg) -> u64 {
-        self.0.message_bytes(msg)
-    }
-
-    fn value_bytes(&self) -> u64 {
-        self.0.value_bytes()
-    }
-
-    fn combine(&self, a: &Self::Msg, b: &Self::Msg) -> Option<Self::Msg> {
-        match self.0.gather() {
-            GatherMode::Fold(monoid) => Some((monoid.combine)(a, b)),
-            GatherMode::Collect => None,
-        }
-    }
-
-    fn flops_per_msg(&self) -> u64 {
-        self.0.flops_per_msg()
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spmv::semiring::plus_f64;
+/// Where a [`GasJob`] executes: the BSP vertex engine under a
+/// framework's [`EngineConfig`] (GraphLab, Giraph, GPS, GraphX), or the
+/// GraphMat lowering onto masked SpMSpV.
+#[derive(Clone, Copy, Debug)]
+pub enum Backend {
+    /// [`super::engine`] with the given runtime mechanisms.
+    Bsp(EngineConfig),
+    /// [`crate::graphmat`].
+    GraphMat,
+}
 
-    /// Fold-mode toy: value = folded sum; scatters its value once at
-    /// superstep 0, aggregates what it received.
-    struct FoldSum;
-
-    impl GasProgram for FoldSum {
-        type Value = f64;
-        type Msg = f64;
-
-        fn gather(&self) -> GatherMode<f64> {
-            GatherMode::Fold(plus_f64())
+impl Backend {
+    /// Runs `job` to completion on a simulated `nodes`-node cluster.
+    pub fn run<P: GasProgram, R>(
+        &self,
+        job: GasJob<'_, P, R>,
+        nodes: usize,
+    ) -> Result<(R, RunReport), SimError> {
+        match self {
+            Backend::Bsp(cfg) => super::engine::run(job, cfg, nodes),
+            Backend::GraphMat => crate::graphmat::run(job, nodes),
         }
-
-        fn apply(
-            &self,
-            superstep: u32,
-            v: VertexId,
-            value: &mut f64,
-            gathered: Gathered<'_, f64>,
-            _g: &VertexGraphView<'_>,
-            ctx: &mut ApplyContext,
-        ) -> Option<f64> {
-            let sum = gathered.folded();
-            *value += sum;
-            ctx.aggregate(sum);
-            ctx.vote_to_halt();
-            if superstep == 0 {
-                Some(f64::from(v) + 1.0)
-            } else {
-                None
-            }
-        }
-
-        fn message_bytes(&self, _: &f64) -> u64 {
-            8
-        }
-
-        fn value_bytes(&self) -> u64 {
-            8
-        }
-    }
-
-    #[test]
-    fn shim_folds_from_identity_and_broadcasts_scatter() {
-        use graphmaze_graph::csr::Csr;
-        // 0 -> {1, 2}, 1 -> {2}
-        let csr = Csr::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
-        let cfg = crate::vertex::engine::EngineConfig {
-            profile: graphmaze_cluster::ExecProfile::graphlab(),
-            use_combiner: false,
-            buffer_whole_superstep: false,
-            superstep_splits: 1,
-            per_message_overhead_bytes: 0,
-            max_supersteps: 10,
-            replicate_hubs_factor: None,
-            compress_ids: false,
-            speculative_reexec: false,
-        };
-        let (values, _) = crate::vertex::engine::run(
-            &csr,
-            None,
-            &Gas(FoldSum),
-            vec![0.0f64; 3],
-            vec![],
-            true,
-            &cfg,
-            1,
-            1,
-        )
-        .unwrap();
-        // superstep 0: everyone applies an empty (identity) gather, then
-        // floods v+1; superstep 1: 1 gets 1.0, 2 gets 1.0 + 2.0
-        assert_eq!(values, vec![0.0, 1.0, 3.0]);
-    }
-
-    #[test]
-    fn shim_combiner_is_the_declared_monoid() {
-        let p = Gas(FoldSum);
-        assert_eq!(p.combine(&2.0, &3.5), Some(5.5));
     }
 }

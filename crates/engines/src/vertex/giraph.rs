@@ -9,38 +9,27 @@
 //! mini-supersteps (§6.1.3, "it was only using this optimization that we
 //! were able to run Triangle Counting on Giraph").
 
-use graphmaze_cluster::{ExecProfile, SimError};
-use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{RatingsGraph, VertexId};
-use graphmaze_metrics::RunReport;
+use graphmaze_cluster::ExecProfile;
 
-use super::engine::{run, EngineConfig};
-use super::gas::Gas;
-use super::programs::{
-    msbfs_rows, msbfs_seed_msgs, pack_bipartite, BfsProgram, CfGdProgram, MsBfsProgram,
-    PageRankProgram, TriangleProgram, BFS_UNREACHED,
-};
+use super::engine::EngineConfig;
 
 /// JVM heap overhead charged per buffered message object (the value
 /// `ExecProfile::giraph().router` declares).
 pub const MESSAGE_OBJECT_OVERHEAD: u64 = 48;
 
 /// Giraph's engine configuration. `splits` is the superstep-splitting
-/// factor (1 = the stock runtime; the paper's fix uses 100). Message-
-/// plane knobs (overhead, compression) come from the profile's
+/// factor (1 = the stock runtime, which exhausts memory on triangle
+/// counting at scale; the paper's fix uses 100 — "message passing
+/// happens in phases so that only 1/s vertices have to send messages in
+/// a given superstep", §3.2). Whole-superstep buffering and the JVM
+/// per-message overhead come from the profile's
 /// [`graphmaze_cluster::RouterConfig`].
-pub fn config(max_supersteps: u32, splits: u32) -> EngineConfig {
-    let profile = ExecProfile::giraph();
+pub fn config(splits: u32) -> EngineConfig {
     EngineConfig {
-        profile,
+        profile: ExecProfile::giraph(),
         use_combiner: false,
-        buffer_whole_superstep: true,
         superstep_splits: splits,
-        per_message_overhead_bytes: profile.router.per_message_overhead_bytes,
-        max_supersteps,
-        replicate_hubs_factor: None,
-        compress_ids: profile.router.compress_ids, // plain 1-D vertex partitioning
-        speculative_reexec: profile.speculative_reexec,
+        replicate_hubs_factor: None, // plain 1-D vertex partitioning
     }
 }
 
@@ -49,184 +38,20 @@ pub fn config(max_supersteps: u32, splits: u32) -> EngineConfig {
 /// buffering), id compression, lighter barriers. "Boosting network
 /// bandwidth by 10x should make Giraph very competitive with other
 /// frameworks."
-pub fn config_improved(max_supersteps: u32, splits: u32) -> EngineConfig {
-    let profile = ExecProfile::giraph_improved();
+pub fn config_improved(splits: u32) -> EngineConfig {
     EngineConfig {
-        profile,
-        buffer_whole_superstep: false,
-        compress_ids: profile.router.compress_ids,
-        ..config(max_supersteps, splits)
+        profile: ExecProfile::giraph_improved(),
+        ..config(splits)
     }
-}
-
-/// PageRank under the roadmap configuration ([`config_improved`]).
-pub fn pagerank_improved(
-    g: &DirectedGraph,
-    r: f64,
-    iterations: u32,
-    nodes: usize,
-) -> Result<(Vec<f64>, RunReport), SimError> {
-    let prog = PageRankProgram { r, iterations };
-    let init = vec![1.0f64; g.num_vertices()];
-    run(
-        &g.out,
-        None,
-        &Gas(prog),
-        init,
-        vec![],
-        true,
-        &config_improved(iterations + 2, 1),
-        nodes,
-        1,
-    )
-}
-
-/// PageRank on Giraph.
-pub fn pagerank(
-    g: &DirectedGraph,
-    r: f64,
-    iterations: u32,
-    nodes: usize,
-) -> Result<(Vec<f64>, RunReport), SimError> {
-    let prog = PageRankProgram { r, iterations };
-    let init = vec![1.0f64; g.num_vertices()];
-    run(
-        &g.out,
-        None,
-        &Gas(prog),
-        init,
-        vec![],
-        true,
-        &config(iterations + 2, 1),
-        nodes,
-        1,
-    )
-}
-
-/// BFS on Giraph.
-pub fn bfs(
-    g: &UndirectedGraph,
-    source: VertexId,
-    nodes: usize,
-) -> Result<(Vec<u32>, RunReport), SimError> {
-    let mut init = vec![BFS_UNREACHED; g.num_vertices()];
-    init[source as usize] = 0;
-    let max = g.num_vertices() as u32 + 2;
-    run(
-        &g.adj,
-        None,
-        &Gas(BfsProgram),
-        init,
-        vec![(source, 0)],
-        false,
-        &config(max, 1),
-        nodes,
-        1,
-    )
-}
-
-/// Bit-parallel multi-source BFS on Giraph: the word-level kernel forced
-/// into the per-vertex model, mask vectors shipped as whole-superstep
-/// buffered JVM message objects. Returns one distance row per source
-/// (identical to `graphmaze_native::msbfs::msbfs`) and the report.
-pub fn msbfs(
-    g: &UndirectedGraph,
-    sources: &[VertexId],
-    nodes: usize,
-) -> Result<(Vec<Vec<u32>>, RunReport), SimError> {
-    let prog = MsBfsProgram {
-        num_sources: sources.len(),
-    };
-    let init = vec![prog.initial_state(); g.num_vertices()];
-    let max = g.num_vertices() as u32 + 2;
-    let (values, report) = run(
-        &g.adj,
-        None,
-        &Gas(prog),
-        init,
-        msbfs_seed_msgs(sources),
-        false,
-        &config(max, 1),
-        nodes,
-        1,
-    )?;
-    Ok((msbfs_rows(&values, sources.len()), report))
-}
-
-/// Triangle counting on Giraph with superstep splitting. `splits = 1`
-/// reproduces the stock runtime, which exhausts memory on large inputs
-/// (returns [`SimError::OutOfMemory`]); the paper's fix uses many splits.
-pub fn triangles_split(
-    oriented: &Csr,
-    nodes: usize,
-    splits: u32,
-) -> Result<(u64, RunReport), SimError> {
-    let (values, report) = run(
-        oriented,
-        None,
-        &Gas(TriangleProgram),
-        vec![0u64; oriented.num_vertices()],
-        vec![],
-        true,
-        &config(4, splits),
-        nodes,
-        2,
-    )?;
-    Ok((values.iter().sum(), report))
-}
-
-/// Triangle counting with the paper's splitting fix applied (100 splits).
-pub fn triangles(oriented: &Csr, nodes: usize) -> Result<(u64, RunReport), SimError> {
-    triangles_split(oriented, nodes, 100)
-}
-
-/// Collaborative filtering by alternating GD, with superstep splitting
-/// ("message passing happens in phases so that only 1/s vertices have to
-/// send messages in a given superstep", §3.2).
-pub fn cf_gd(
-    g: &RatingsGraph,
-    k: usize,
-    lambda: f64,
-    gamma: f64,
-    iterations: u32,
-    nodes: usize,
-    splits: u32,
-) -> Result<(Vec<Vec<f64>>, RunReport), SimError> {
-    let (csr, weights) = pack_bipartite(g);
-    let prog = CfGdProgram {
-        num_users: g.num_users(),
-        k,
-        lambda,
-        gamma,
-        iterations,
-    };
-    let init: Vec<Vec<f64>> = (0..csr.num_vertices())
-        .map(|i| {
-            (0..k)
-                .map(|j| {
-                    let x = (i as u64 * 31 + j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    (x >> 11) as f64 / (1u64 << 53) as f64 * 0.1
-                })
-                .collect()
-        })
-        .collect();
-    run(
-        &csr,
-        Some(&weights),
-        &Gas(prog),
-        init,
-        vec![],
-        true,
-        &config(2 * iterations + 2, splits),
-        nodes,
-        2,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vertex::gas::Backend;
+    use crate::vertex::programs::{bfs_job, pagerank_job, triangle_job};
     use graphmaze_datagen::{rmat, RmatConfig, RmatParams};
+    use graphmaze_graph::csr::{DirectedGraph, UndirectedGraph};
     use graphmaze_native::pagerank::pagerank as native_pagerank;
     use graphmaze_native::triangle::{orient_and_sort, triangles as native_triangles};
     use graphmaze_native::PAGERANK_R;
@@ -247,7 +72,9 @@ mod tests {
         let el = rmat_el(9, 31);
         let g = DirectedGraph::from_edge_list(&el);
         let want = native_pagerank(&g, PAGERANK_R, 5, 2);
-        let (got, giraph_rep) = pagerank(&g, PAGERANK_R, 5, 4).unwrap();
+        let (got, giraph_rep) = Backend::Bsp(config(1))
+            .run(pagerank_job(&g, PAGERANK_R, 5), 4)
+            .unwrap();
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -268,7 +95,9 @@ mod tests {
     fn giraph_cpu_utilization_capped_by_workers() {
         let el = rmat_el(9, 32);
         let g = DirectedGraph::from_edge_list(&el);
-        let (_, rep) = pagerank(&g, PAGERANK_R, 5, 4).unwrap();
+        let (_, rep) = Backend::Bsp(config(1))
+            .run(pagerank_job(&g, PAGERANK_R, 5), 4)
+            .unwrap();
         assert!(
             rep.cpu_utilization <= 4.0 / 24.0 + 1e-9,
             "util {}",
@@ -281,11 +110,16 @@ mod tests {
         let el = rmat_el(9, 33);
         let oriented = orient_and_sort(&el);
         let want = native_triangles(&oriented, 2);
-        let (got, _) = triangles(&oriented, 4).unwrap();
+        let run = |splits| {
+            Backend::Bsp(config(splits))
+                .run(triangle_job(&oriented), 4)
+                .unwrap()
+        };
+        let (got, _) = run(100);
         assert_eq!(got, want);
-        let (got_split, rep_split) = triangles_split(&oriented, 4, 8).unwrap();
+        let (got_split, rep_split) = run(8);
         assert_eq!(got_split, want);
-        let (_, rep_whole) = triangles_split(&oriented, 4, 1).unwrap();
+        let (_, rep_whole) = run(1);
         assert!(
             rep_split.peak_mem_bytes < rep_whole.peak_mem_bytes,
             "{} !< {}",
@@ -300,7 +134,7 @@ mod tests {
         el.remove_self_loops();
         el.symmetrize();
         let g = UndirectedGraph::from_symmetric_edge_list(&el);
-        let (dist, rep) = bfs(&g, 0, 4).unwrap();
+        let (dist, rep) = Backend::Bsp(config(1)).run(bfs_job(&g, 0), 4).unwrap();
         let want = graphmaze_native::bfs::bfs(&g, 0, 2);
         assert_eq!(dist, want);
         // each superstep costs ≈1 s of Hadoop coordination

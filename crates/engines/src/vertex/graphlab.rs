@@ -8,205 +8,39 @@
 //! counting GraphLab "keeps a cuckoo-hash data structure", which shows
 //! up as a lower per-probe cost than Giraph's boxed sets.
 
-use graphmaze_cluster::{ExecProfile, SimError};
-use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{RatingsGraph, VertexId};
-use graphmaze_metrics::RunReport;
+use graphmaze_cluster::ExecProfile;
 
-use super::engine::{run, EngineConfig};
-use super::gas::Gas;
-use super::programs::{
-    msbfs_rows, msbfs_seed_msgs, pack_bipartite, BfsProgram, CfGdProgram, MsBfsProgram,
-    PageRankProgram, TriangleProgram, BFS_UNREACHED,
-};
+use super::engine::EngineConfig;
 
 /// GraphLab's engine configuration. Message-plane knobs come from the
 /// profile's [`graphmaze_cluster::RouterConfig`].
-pub fn config(max_supersteps: u32) -> EngineConfig {
-    let profile = ExecProfile::graphlab();
+pub fn config() -> EngineConfig {
     EngineConfig {
-        profile,
+        profile: ExecProfile::graphlab(),
         use_combiner: true,
-        buffer_whole_superstep: false,
         superstep_splits: 1,
-        per_message_overhead_bytes: profile.router.per_message_overhead_bytes,
-        max_supersteps,
         // replicate vertices with ≥8x the average degree (§6.1.1)
         replicate_hubs_factor: Some(8.0),
-        compress_ids: profile.router.compress_ids,
-        speculative_reexec: profile.speculative_reexec,
     }
 }
 
 /// GraphLab with the paper's roadmap applied (MPI-class transport,
 /// software prefetch, id compression). The paper: "incorporating these
 /// changes should allow GraphLab to be within 5x of native performance."
-pub fn config_improved(max_supersteps: u32) -> EngineConfig {
-    let profile = ExecProfile::graphlab_improved();
+pub fn config_improved() -> EngineConfig {
     EngineConfig {
-        profile,
-        compress_ids: profile.router.compress_ids,
-        ..config(max_supersteps)
+        profile: ExecProfile::graphlab_improved(),
+        ..config()
     }
-}
-
-/// PageRank under the roadmap configuration ([`config_improved`]).
-pub fn pagerank_improved(
-    g: &DirectedGraph,
-    r: f64,
-    iterations: u32,
-    nodes: usize,
-) -> Result<(Vec<f64>, RunReport), SimError> {
-    let prog = PageRankProgram { r, iterations };
-    let init = vec![1.0f64; g.num_vertices()];
-    run(
-        &g.out,
-        None,
-        &Gas(prog),
-        init,
-        vec![],
-        true,
-        &config_improved(iterations + 2),
-        nodes,
-        1,
-    )
-}
-
-/// PageRank as a GraphLab vertex program. Returns ranks (matching the
-/// native implementation within float tolerance) and the run report.
-pub fn pagerank(
-    g: &DirectedGraph,
-    r: f64,
-    iterations: u32,
-    nodes: usize,
-) -> Result<(Vec<f64>, RunReport), SimError> {
-    let prog = PageRankProgram { r, iterations };
-    let init = vec![1.0f64; g.num_vertices()];
-    run(
-        &g.out,
-        None,
-        &Gas(prog),
-        init,
-        vec![],
-        true,
-        &config(iterations + 2),
-        nodes,
-        1,
-    )
-}
-
-/// BFS as a GraphLab vertex program.
-pub fn bfs(
-    g: &UndirectedGraph,
-    source: VertexId,
-    nodes: usize,
-) -> Result<(Vec<u32>, RunReport), SimError> {
-    let mut init = vec![BFS_UNREACHED; g.num_vertices()];
-    init[source as usize] = 0;
-    let max = g.num_vertices() as u32 + 2;
-    run(
-        &g.adj,
-        None,
-        &Gas(BfsProgram),
-        init,
-        vec![(source, 0)],
-        false,
-        &config(max),
-        nodes,
-        1,
-    )
-}
-
-/// Bit-parallel multi-source BFS as a GraphLab vertex program. Mask
-/// words are OR-merged by the combiner before hitting the socket
-/// transport; distances match `graphmaze_native::msbfs::msbfs` exactly.
-pub fn msbfs(
-    g: &UndirectedGraph,
-    sources: &[VertexId],
-    nodes: usize,
-) -> Result<(Vec<Vec<u32>>, RunReport), SimError> {
-    let prog = MsBfsProgram {
-        num_sources: sources.len(),
-    };
-    let init = vec![prog.initial_state(); g.num_vertices()];
-    let max = g.num_vertices() as u32 + 2;
-    let (values, report) = run(
-        &g.adj,
-        None,
-        &Gas(prog),
-        init,
-        msbfs_seed_msgs(sources),
-        false,
-        &config(max),
-        nodes,
-        1,
-    )?;
-    Ok((msbfs_rows(&values, sources.len()), report))
-}
-
-/// Triangle counting as a GraphLab vertex program over a DAG-oriented,
-/// sorted-adjacency CSR (see `graphmaze_native::triangle::orient_and_sort`).
-pub fn triangles(oriented: &Csr, nodes: usize) -> Result<(u64, RunReport), SimError> {
-    let (values, report) = run(
-        oriented,
-        None,
-        &Gas(TriangleProgram),
-        vec![0u64; oriented.num_vertices()],
-        vec![],
-        true,
-        &config(4),
-        nodes,
-        2,
-    )?;
-    Ok((values.iter().sum(), report))
-}
-
-/// Collaborative filtering by alternating GD (GraphLab cannot express the
-/// native SGD schedule, §3.2). Returns the packed factor rows (users then
-/// items) and the report.
-pub fn cf_gd(
-    g: &RatingsGraph,
-    k: usize,
-    lambda: f64,
-    gamma: f64,
-    iterations: u32,
-    nodes: usize,
-) -> Result<(Vec<Vec<f64>>, RunReport), SimError> {
-    let (csr, weights) = pack_bipartite(g);
-    let prog = CfGdProgram {
-        num_users: g.num_users(),
-        k,
-        lambda,
-        gamma,
-        iterations,
-    };
-    let init: Vec<Vec<f64>> = (0..csr.num_vertices())
-        .map(|i| {
-            (0..k)
-                .map(|j| {
-                    let x = (i as u64 * 31 + j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    (x >> 11) as f64 / (1u64 << 53) as f64 * 0.1
-                })
-                .collect()
-        })
-        .collect();
-    run(
-        &csr,
-        Some(&weights),
-        &Gas(prog),
-        init,
-        vec![],
-        true,
-        &config(2 * iterations + 2),
-        nodes,
-        2,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vertex::gas::Backend;
+    use crate::vertex::programs::{bfs_job, pagerank_job, triangle_job};
     use graphmaze_datagen::{rmat, RmatConfig, RmatParams};
+    use graphmaze_graph::csr::{DirectedGraph, UndirectedGraph};
     use graphmaze_native::pagerank::pagerank as native_pagerank;
     use graphmaze_native::triangle::{orient_and_sort, triangles as native_triangles};
     use graphmaze_native::{bfs::bfs as native_bfs, PAGERANK_R};
@@ -227,7 +61,9 @@ mod tests {
         let el = rmat_el(9, 21);
         let g = DirectedGraph::from_edge_list(&el);
         let want = native_pagerank(&g, PAGERANK_R, 5, 2);
-        let (got, report) = pagerank(&g, PAGERANK_R, 5, 4).unwrap();
+        let (got, report) = Backend::Bsp(config())
+            .run(pagerank_job(&g, PAGERANK_R, 5), 4)
+            .unwrap();
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -241,7 +77,7 @@ mod tests {
         el.symmetrize();
         let g = UndirectedGraph::from_symmetric_edge_list(&el);
         let want = native_bfs(&g, 0, 2);
-        let (got, _) = bfs(&g, 0, 4).unwrap();
+        let (got, _) = Backend::Bsp(config()).run(bfs_job(&g, 0), 4).unwrap();
         assert_eq!(got, want);
     }
 
@@ -250,7 +86,9 @@ mod tests {
         let el = rmat_el(9, 23);
         let oriented = orient_and_sort(&el);
         let want = native_triangles(&oriented, 2);
-        let (got, _) = triangles(&oriented, 4).unwrap();
+        let (got, _) = Backend::Bsp(config())
+            .run(triangle_job(&oriented), 4)
+            .unwrap();
         assert_eq!(got, want);
     }
 
@@ -260,25 +98,16 @@ mod tests {
         // value per (hub, node) instead of one per edge (§6.1.1).
         let el = rmat_el(11, 25);
         let g = DirectedGraph::from_edge_list(&el);
-        let with = pagerank(&g, PAGERANK_R, 3, 4).unwrap();
-        let mut cfg_no_rep = config(5);
-        cfg_no_rep.replicate_hubs_factor = None;
-        let prog = PageRankProgram {
-            r: PAGERANK_R,
-            iterations: 3,
+        let run = |cfg| {
+            Backend::Bsp(cfg)
+                .run(pagerank_job(&g, PAGERANK_R, 3), 4)
+                .unwrap()
         };
-        let without = run(
-            &g.out,
-            None,
-            &Gas(prog),
-            vec![1.0f64; g.num_vertices()],
-            vec![],
-            true,
-            &cfg_no_rep,
-            4,
-            1,
-        )
-        .unwrap();
+        let with = run(config());
+        let without = run(EngineConfig {
+            replicate_hubs_factor: None,
+            ..config()
+        });
         for (a, b) in with.0.iter().zip(&without.0) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -302,7 +131,9 @@ mod tests {
             4,
         )
         .unwrap();
-        let (_, gl_rep) = pagerank(&g, PAGERANK_R, 5, 4).unwrap();
+        let (_, gl_rep) = Backend::Bsp(config())
+            .run(pagerank_job(&g, PAGERANK_R, 5), 4)
+            .unwrap();
         let slowdown = gl_rep.slowdown_vs(&native_rep);
         assert!(slowdown > 1.5, "GraphLab slowdown {slowdown} vs native");
     }

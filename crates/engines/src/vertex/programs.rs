@@ -1,20 +1,24 @@
-//! The four algorithms as vertex programs — the paper's Algorithm 1
-//! (PageRank), Algorithm 2 (BFS), and the §3.2 descriptions of triangle
-//! counting and collaborative filtering in the vertex model — written in
-//! the declarative gather–apply–scatter form of [`super::gas`].
+//! The paper's algorithms as vertex programs — Algorithm 1 (PageRank),
+//! Algorithm 2 (BFS), the §3.2 descriptions of triangle counting and
+//! collaborative filtering in the vertex model, and bit-parallel
+//! multi-source BFS — written in the declarative gather–apply–scatter
+//! form of [`super::gas`].
 //!
 //! Each program declares its gather algebra as a `spmv::semiring`
 //! monoid: PageRank folds with `(+, 0)`, BFS with `(min, MAX)`,
 //! multi-source BFS with word-wise OR; triangle counting and CF need the
-//! raw inbox (`Collect`). Wrap a program in [`super::gas::Gas`] to run
-//! it on the imperative Giraph/GraphLab engines; `engines::graphmat`
-//! lowers the same declaration onto masked SpMSpV.
+//! raw inbox (`Collect`). The `*_job` constructors pair each program
+//! with its launch (initial values, seeds, superstep cap, finalizer) as
+//! a [`GasJob`] that any [`super::gas::Backend`] runs.
 
-use graphmaze_graph::VertexId;
+use std::borrow::Cow;
+
+use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
+use graphmaze_graph::{RatingsGraph, VertexId};
 
 use super::engine::VertexGraphView;
-use super::gas::{ApplyContext, GasProgram, GatherMode, Gathered};
-use crate::spmv::semiring::{min_u32, or_words, plus_f64, GatherMonoid};
+use super::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
+use crate::spmv::semiring::{min_u32, or_words, plus_f64};
 
 /// Algorithm 1 — one PageRank iteration per superstep:
 ///
@@ -476,7 +480,7 @@ impl GasProgram for CfGdProgram {
 
 /// Seed messages for [`MsBfsProgram`]: source `i` wakes its vertex with
 /// a mask vector carrying only bit `i`, settling it at superstep 0.
-pub fn msbfs_seed_msgs(sources: &[VertexId]) -> Vec<(VertexId, Vec<u64>)> {
+fn msbfs_seed_msgs(sources: &[VertexId]) -> Vec<(VertexId, Vec<u64>)> {
     let width = sources.len().div_ceil(64).max(1);
     sources
         .iter()
@@ -491,18 +495,10 @@ pub fn msbfs_seed_msgs(sources: &[VertexId]) -> Vec<(VertexId, Vec<u64>)> {
 
 /// Transposes per-vertex [`MsBfsState`] values into one distance row per
 /// source — the layout the native kernel returns.
-pub fn msbfs_rows(values: &[MsBfsState], num_sources: usize) -> Vec<Vec<u32>> {
+fn msbfs_rows(values: &[MsBfsState], num_sources: usize) -> Vec<Vec<u32>> {
     (0..num_sources)
         .map(|s| values.iter().map(|st| st.dist[s]).collect())
         .collect()
-}
-
-/// The gather monoid of a fold-mode program, if it declares one.
-pub fn gather_monoid<P: GasProgram>(program: &P) -> Option<GatherMonoid<P::Msg>> {
-    match program.gather() {
-        GatherMode::Fold(m) => Some(m),
-        GatherMode::Collect => None,
-    }
 }
 
 #[inline]
@@ -515,7 +511,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// `num_users + v`; every rating contributes both directed edges.
 /// Adjacency is sorted so [`VertexGraphView::edge_weight`] can binary
 /// search. Returns `(csr, weights)` aligned per edge.
-pub fn pack_bipartite(g: &graphmaze_graph::RatingsGraph) -> (graphmaze_graph::csr::Csr, Vec<f32>) {
+pub fn pack_bipartite(g: &RatingsGraph) -> (Csr, Vec<f32>) {
     let nu = g.num_users();
     let total = u64::from(nu) + u64::from(g.num_items());
     let mut edges: Vec<(VertexId, VertexId, f32)> =
@@ -527,29 +523,124 @@ pub fn pack_bipartite(g: &graphmaze_graph::RatingsGraph) -> (graphmaze_graph::cs
     edges.sort_by_key(|e| (e.0, e.1));
     let plain: Vec<(VertexId, VertexId)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
     let weights: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
-    let csr = graphmaze_graph::csr::Csr::from_edges(total, &plain);
+    let csr = Csr::from_edges(total, &plain);
     (csr, weights)
+}
+
+/// `iterations` PageRank iterations from uniform rank 1.
+pub fn pagerank_job(g: &DirectedGraph, r: f64, iterations: u32) -> GasJob<'_, PageRankProgram> {
+    GasJob::new(
+        &g.out,
+        PageRankProgram { r, iterations },
+        vec![1.0; g.num_vertices()],
+        iterations + 2,
+    )
+}
+
+/// BFS from `source`; the result is the distance per vertex
+/// ([`BFS_UNREACHED`] where unreachable).
+pub fn bfs_job(g: &UndirectedGraph, source: VertexId) -> GasJob<'_, BfsProgram> {
+    let n = g.num_vertices();
+    let mut values = vec![BFS_UNREACHED; n];
+    values[source as usize] = 0;
+    GasJob {
+        seeds: vec![(source, 0)],
+        activate_all: false,
+        ..GasJob::new(&g.adj, BfsProgram, values, n as u32 + 2)
+    }
+}
+
+/// Bit-parallel BFS from all `sources` at once; the result is one
+/// distance row per source, identical to `graphmaze_native::msbfs::msbfs`.
+pub fn msbfs_job<'g>(
+    g: &'g UndirectedGraph,
+    sources: &[VertexId],
+) -> GasJob<'g, MsBfsProgram, Vec<Vec<u32>>> {
+    let n = g.num_vertices();
+    let program = MsBfsProgram {
+        num_sources: sources.len(),
+    };
+    GasJob {
+        graph: Cow::Borrowed(&g.adj),
+        weights: None,
+        values: vec![program.initial_state(); n],
+        program,
+        seeds: msbfs_seed_msgs(sources),
+        activate_all: false,
+        max_supersteps: n as u32 + 2,
+        supersteps_per_iteration: 1,
+        finish: |program, values| msbfs_rows(&values, program.num_sources),
+    }
+}
+
+/// Triangle count of a DAG-oriented, sorted-adjacency CSR (see
+/// `graphmaze_native::triangle::orient_and_sort`).
+pub fn triangle_job(oriented: &Csr) -> GasJob<'_, TriangleProgram, u64> {
+    GasJob {
+        graph: Cow::Borrowed(oriented),
+        weights: None,
+        program: TriangleProgram,
+        values: vec![0; oriented.num_vertices()],
+        seeds: vec![],
+        activate_all: true,
+        max_supersteps: 4,
+        supersteps_per_iteration: 2,
+        finish: |_, values| values.iter().sum(),
+    }
+}
+
+/// `iterations` alternating-GD sweeps over the ratings packed by
+/// [`pack_bipartite`], from deterministic hashed factors in `[0, 0.1)`;
+/// the result is the packed factor rows (users, then items).
+pub fn cf_gd_job(
+    g: &RatingsGraph,
+    k: usize,
+    lambda: f64,
+    gamma: f64,
+    iterations: u32,
+) -> GasJob<'static, CfGdProgram> {
+    let (csr, weights) = pack_bipartite(g);
+    let values = (0..csr.num_vertices())
+        .map(|i| {
+            (0..k)
+                .map(|j| {
+                    let x = (i as u64 * 31 + j as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (x >> 11) as f64 / (1u64 << 53) as f64 * 0.1
+                })
+                .collect()
+        })
+        .collect();
+    GasJob {
+        graph: Cow::Owned(csr),
+        weights: Some(weights),
+        program: CfGdProgram {
+            num_users: g.num_users(),
+            k,
+            lambda,
+            gamma,
+            iterations,
+        },
+        values,
+        seeds: vec![],
+        activate_all: true,
+        max_supersteps: 2 * iterations + 2,
+        supersteps_per_iteration: 2,
+        finish: |_, values| values,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vertex::engine::{run, EngineConfig};
-    use crate::vertex::gas::Gas;
     use graphmaze_cluster::ExecProfile;
-    use graphmaze_graph::csr::Csr;
 
-    fn cfg(max: u32) -> EngineConfig {
+    fn cfg() -> EngineConfig {
         EngineConfig {
             profile: ExecProfile::graphlab(),
             use_combiner: true,
-            buffer_whole_superstep: false,
             superstep_splits: 1,
-            per_message_overhead_bytes: 0,
-            max_supersteps: max,
             replicate_hubs_factor: None,
-            compress_ids: false,
-            speculative_reexec: false,
         }
     }
 
@@ -564,24 +655,14 @@ mod tests {
             scramble_ids: false,
             threads: 1,
         });
-        let g = graphmaze_graph::DirectedGraph::from_edge_list(&el);
+        let g = DirectedGraph::from_edge_list(&el);
         let prog = PageRankConvergentProgram {
             r: 0.3,
             tolerance: 1e-7,
             max_iterations: 500,
         };
-        let (values, report) = run(
-            &g.out,
-            None,
-            &Gas(prog),
-            vec![1.0f64; g.num_vertices()],
-            vec![],
-            true,
-            &cfg(510),
-            2,
-            1,
-        )
-        .unwrap();
+        let job = GasJob::new(&g.out, prog, vec![1.0f64; g.num_vertices()], 510);
+        let (values, report) = run(job, &cfg(), 2).unwrap();
         assert!(
             report.steps < 500,
             "should converge early, ran {} steps",
@@ -598,23 +679,8 @@ mod tests {
     #[test]
     fn pagerank_program_matches_hand_computation() {
         // Figure 2 graph, 1 iteration: [0.3, 0.65, 1.0, 1.35]
-        let csr = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
-        let prog = PageRankProgram {
-            r: 0.3,
-            iterations: 1,
-        };
-        let (values, _) = run(
-            &csr,
-            None,
-            &Gas(prog),
-            vec![1.0f64; 4],
-            vec![],
-            true,
-            &cfg(10),
-            2,
-            1,
-        )
-        .unwrap();
+        let g = DirectedGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
+        let (values, _) = run(pagerank_job(&g, 0.3, 1), &cfg(), 2).unwrap();
         let want = [0.3, 0.65, 1.0, 1.35];
         for (a, b) in values.iter().zip(&want) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
@@ -623,23 +689,9 @@ mod tests {
 
     #[test]
     fn bfs_program_levels() {
-        // path 0-1-2-3 (symmetric)
-        let csr = Csr::from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]);
-        let prog = BfsProgram;
-        let mut init = vec![BFS_UNREACHED; 4];
-        init[0] = 0;
-        let (values, _) = run(
-            &csr,
-            None,
-            &Gas(prog),
-            init,
-            vec![(0, 0)],
-            false,
-            &cfg(20),
-            2,
-            1,
-        )
-        .unwrap();
+        // path 0-1-2-3
+        let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let (values, _) = run(bfs_job(&g, 0), &cfg(), 2).unwrap();
         assert_eq!(values, vec![0, 1, 2, 3]);
     }
 
@@ -648,19 +700,8 @@ mod tests {
         // oriented Figure 2 graph has 2 triangles
         let mut csr = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
         csr.sort_neighbors();
-        let (values, _) = run(
-            &csr,
-            None,
-            &Gas(TriangleProgram),
-            vec![0u64; 4],
-            vec![],
-            true,
-            &cfg(5),
-            2,
-            1,
-        )
-        .unwrap();
-        assert_eq!(values.iter().sum::<u64>(), 2);
+        let (count, _) = run(triangle_job(&csr), &cfg(), 2).unwrap();
+        assert_eq!(count, 2);
     }
 
     #[test]
@@ -696,18 +737,12 @@ mod tests {
                 .sqrt()
         };
         let before = err(&init);
-        let (values, report) = run(
-            &csr,
-            Some(&weights),
-            &Gas(prog),
-            init,
-            vec![],
-            true,
-            &cfg(100),
-            1,
-            2,
-        )
-        .unwrap();
+        let job = GasJob {
+            weights: Some(weights),
+            supersteps_per_iteration: 2,
+            ..GasJob::new(&csr, prog, init, 100)
+        };
+        let (values, report) = run(job, &cfg(), 1).unwrap();
         let after = err(&values);
         assert!(after < before * 0.5, "error {before} -> {after}");
         assert!(report.steps >= 60);

@@ -60,6 +60,11 @@ const SPAN_CAPACITY: usize = 65_536;
 /// whether the daemon is draining.
 const DRAIN_POLL: Duration = Duration::from_millis(100);
 
+/// Longest request line a connection may send. A client that exceeds it
+/// (or never sends a newline) gets one error reply and is disconnected,
+/// so the per-connection buffer stays bounded.
+const MAX_LINE_BYTES: usize = 64 << 10;
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -704,7 +709,15 @@ fn handle_connection(stream: TcpStream, state: &ServeState) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+        loop {
+            let newline = buf.iter().position(|&b| b == b'\n');
+            if newline.unwrap_or(buf.len()) > MAX_LINE_BYTES {
+                let reply =
+                    encode_error("", &format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+                return;
+            }
+            let Some(pos) = newline else { break };
             let raw: Vec<u8> = buf.drain(..=pos).collect();
             let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
             let line = line.trim();

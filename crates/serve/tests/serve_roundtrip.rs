@@ -119,6 +119,30 @@ fn malformed_lines_get_errors_without_killing_the_connection() {
 }
 
 #[test]
+fn oversized_lines_get_one_error_and_the_connection_is_closed() {
+    let (addr, daemon) = spawn_daemon(ServeConfig::default());
+    let (mut stream, mut reader) = connect(&addr);
+    // 1 MiB and never a newline; the daemon hangs up part-way through,
+    // so the tail of the write may fail
+    let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    assert!(reply.contains(r#""status":"error""#), "{reply}");
+    assert!(reply.contains("exceeds 65536 bytes"), "{reply}");
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "connection must be closed, got {rest:?}"
+    );
+    // the daemon itself is unharmed
+    let (mut stream, mut reader) = connect(&addr);
+    let pong = send_line(&mut stream, &mut reader, r#"{"op":"ping"}"#);
+    assert!(pong.contains(r#""status":"pong""#));
+    send_line(&mut stream, &mut reader, r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon exits cleanly");
+}
+
+#[test]
 fn loadgen_closed_loop_reports_rising_hit_rate() {
     let (addr, daemon) = spawn_daemon(ServeConfig {
         jobs: 4,

@@ -13,10 +13,10 @@
 
 use graphmaze_core::prelude::*;
 use graphmaze_engines::datalog::socialite;
-use graphmaze_engines::graphmat;
 use graphmaze_engines::spmv::combblas;
 use graphmaze_engines::taskpar::galois;
-use graphmaze_engines::vertex::{giraph, graphlab};
+use graphmaze_engines::vertex::programs::{bfs_job, msbfs_job, pagerank_job};
+use graphmaze_engines::vertex::{giraph, graphlab, Backend};
 use graphmaze_graph::{DirectedGraph, RatingsGraph, UndirectedGraph};
 use graphmaze_native::{NativeOptions, PAGERANK_R};
 
@@ -158,6 +158,11 @@ fn pagerank_vector(
     params: &BenchParams,
 ) -> Vec<f64> {
     let iters = params.pr_iterations;
+    let gas = |backend: Backend| {
+        backend
+            .run(pagerank_job(g, PAGERANK_R, iters), nodes)
+            .map(|(r, _)| r)
+    };
     let ranks = match fw {
         Framework::Native => graphmaze_native::pagerank::pagerank_cluster(
             g,
@@ -168,16 +173,16 @@ fn pagerank_vector(
         )
         .map(|(r, _)| r),
         Framework::CombBlas => combblas::pagerank(g, PAGERANK_R, iters, nodes).map(|(r, _)| r),
-        Framework::GraphLab => graphlab::pagerank(g, PAGERANK_R, iters, nodes).map(|(r, _)| r),
+        Framework::GraphLab => gas(Backend::Bsp(graphlab::config())),
         Framework::SociaLite => {
             socialite::pagerank(g, PAGERANK_R, iters, nodes, true).map(|(r, _)| r)
         }
         Framework::SociaLiteUnopt => {
             socialite::pagerank(g, PAGERANK_R, iters, nodes, false).map(|(r, _)| r)
         }
-        Framework::Giraph => giraph::pagerank(g, PAGERANK_R, iters, nodes).map(|(r, _)| r),
+        Framework::Giraph => gas(Backend::Bsp(giraph::config(1))),
         Framework::Galois => galois::pagerank(g, PAGERANK_R, iters, nodes).map(|(r, _)| r),
-        Framework::GraphMat => graphmat::pagerank(g, PAGERANK_R, iters, nodes).map(|(r, _)| r),
+        Framework::GraphMat => gas(Backend::GraphMat),
     };
     ranks.unwrap_or_else(|e| panic!("{fw:?} pagerank vector: {e}"))
 }
@@ -185,18 +190,19 @@ fn pagerank_vector(
 /// The per-vertex BFS distance vector from each framework's concrete
 /// engine function.
 fn bfs_vector(fw: Framework, g: &UndirectedGraph, source: u32, nodes: usize) -> Vec<u32> {
+    let gas = |backend: Backend| backend.run(bfs_job(g, source), nodes).map(|(d, _)| d);
     let dist = match fw {
         Framework::Native => {
             graphmaze_native::bfs::bfs_cluster(g, source, NativeOptions::all(), nodes)
                 .map(|(d, _)| d)
         }
         Framework::CombBlas => combblas::bfs(g, source, nodes).map(|(d, _)| d),
-        Framework::GraphLab => graphlab::bfs(g, source, nodes).map(|(d, _)| d),
+        Framework::GraphLab => gas(Backend::Bsp(graphlab::config())),
         Framework::SociaLite => socialite::bfs(g, source, nodes, true).map(|(d, _)| d),
         Framework::SociaLiteUnopt => socialite::bfs(g, source, nodes, false).map(|(d, _)| d),
-        Framework::Giraph => giraph::bfs(g, source, nodes).map(|(d, _)| d),
+        Framework::Giraph => gas(Backend::Bsp(giraph::config(1))),
         Framework::Galois => galois::bfs(g, source, nodes).map(|(d, _)| d),
-        Framework::GraphMat => graphmat::bfs(g, source, nodes).map(|(d, _)| d),
+        Framework::GraphMat => gas(Backend::GraphMat),
     };
     dist.unwrap_or_else(|e| panic!("{fw:?} bfs vector: {e}"))
 }
@@ -387,15 +393,16 @@ fn msbfs_rows_for(
     sources: &[u32],
     nodes: usize,
 ) -> Vec<Vec<u32>> {
+    let gas = |backend: Backend| backend.run(msbfs_job(g, sources), nodes).map(|(r, _)| r);
     let rows = match fw {
         Framework::Native => {
             graphmaze_native::msbfs::msbfs_cluster(g, sources, NativeOptions::all(), nodes)
                 .map(|(r, _)| r)
         }
         Framework::CombBlas => combblas::msbfs(g, sources, nodes).map(|(r, _)| r),
-        Framework::GraphLab => graphlab::msbfs(g, sources, nodes).map(|(r, _)| r),
-        Framework::Giraph => giraph::msbfs(g, sources, nodes).map(|(r, _)| r),
-        Framework::GraphMat => graphmat::msbfs(g, sources, nodes).map(|(r, _)| r),
+        Framework::GraphLab => gas(Backend::Bsp(graphlab::config())),
+        Framework::Giraph => gas(Backend::Bsp(giraph::config(1))),
+        Framework::GraphMat => gas(Backend::GraphMat),
         _ => panic!("{fw:?} has no msbfs port"),
     };
     rows.unwrap_or_else(|e| panic!("{fw:?} msbfs rows: {e}"))

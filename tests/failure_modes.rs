@@ -60,38 +60,15 @@ fn giraph_whole_superstep_buffering_ooms_without_splitting() {
 }
 
 /// Giraph TC under an artificial memory budget (splitting factor
-/// `splits`). Uses the engine directly so the cluster spec can be shrunk.
+/// `splits`).
 fn giraph_tc_with_memory(
     oriented: &graphmaze_core::graph::csr::Csr,
     splits: u32,
     mem_bytes: u64,
 ) -> Result<u64, SimError> {
-    use graphmaze_core::engines::vertex::engine::{run, EngineConfig};
-    use graphmaze_core::engines::vertex::gas::Gas;
-    use graphmaze_core::engines::vertex::programs::TriangleProgram;
-    let cfg = EngineConfig {
-        profile: ExecProfile::giraph(),
-        use_combiner: false,
-        buffer_whole_superstep: true,
-        superstep_splits: splits,
-        per_message_overhead_bytes: giraph::MESSAGE_OBJECT_OVERHEAD,
-        max_supersteps: 4,
-        replicate_hubs_factor: None,
-        compress_ids: false,
-        speculative_reexec: false,
-    };
-    let n = oriented.num_vertices();
-    let (values, report) = run(
-        oriented,
-        None,
-        &Gas(TriangleProgram),
-        vec![0u64; n],
-        vec![],
-        true,
-        &cfg,
-        4,
-        2,
-    )?;
+    use graphmaze_core::engines::vertex::{programs, Backend};
+    let (count, report) =
+        Backend::Bsp(giraph::config(splits)).run(programs::triangle_job(oriented), 4)?;
     // The engine runs on paper-spec (64 GB) nodes; this helper checks the
     // peak against an artificial budget, which is what a memory-limited
     // JVM heap would have enforced mid-superstep.
@@ -106,7 +83,7 @@ fn giraph_tc_with_memory(
             },
         ));
     }
-    Ok(values.iter().sum())
+    Ok(count)
 }
 
 #[test]

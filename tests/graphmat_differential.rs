@@ -14,9 +14,10 @@
 
 use graphmaze_core::native::triangle::orient_and_sort;
 use graphmaze_core::prelude::*;
-use graphmaze_engines::graphmat;
-use graphmaze_engines::vertex::programs::PageRankConvergentProgram;
-use graphmaze_engines::vertex::{engine, giraph, Gas};
+use graphmaze_engines::vertex::programs::{
+    bfs_job, cf_gd_job, msbfs_job, pagerank_job, triangle_job, PageRankConvergentProgram,
+};
+use graphmaze_engines::vertex::{giraph, Backend, GasJob};
 
 /// SplitMix64 — the same deterministic generator `tests/properties.rs`
 /// samples cases from.
@@ -85,12 +86,18 @@ fn fixtures(base_seed: u64) -> Vec<Fixture> {
 
 const NODES: usize = 4;
 
+/// Giraph at `splits = 1`: the fold order the lowering replays.
+fn giraph() -> Backend {
+    Backend::Bsp(giraph::config(1))
+}
+
 #[test]
 fn pagerank_lowering_is_bit_identical_to_giraph() {
     for (name, n, edges) in fixtures(0xA11C_E000) {
         let g = DirectedGraph::from_edges(u64::from(n), &edges);
-        let (giraph_pr, _) = giraph::pagerank(&g, PAGERANK_R, 5, NODES).unwrap();
-        let (graphmat_pr, _) = graphmat::pagerank(&g, PAGERANK_R, 5, NODES).unwrap();
+        let job = || pagerank_job(&g, PAGERANK_R, 5);
+        let (giraph_pr, _) = giraph().run(job(), NODES).unwrap();
+        let (graphmat_pr, _) = Backend::GraphMat.run(job(), NODES).unwrap();
         assert_eq!(giraph_pr, graphmat_pr, "{name}: ranks diverge");
     }
 }
@@ -98,30 +105,20 @@ fn pagerank_lowering_is_bit_identical_to_giraph() {
 #[test]
 fn convergent_pagerank_lowering_tracks_the_aggregator_identically() {
     // the aggregator-driven variant exercises `prev_aggregate` threading
-    // through both engines; no convenience wrapper exists, so both run
-    // through their generic entry points
+    // through both backends; it has no job constructor, so the job is
+    // spelled out
     for (name, n, edges) in fixtures(0xA11C_E100) {
         let g = DirectedGraph::from_edges(u64::from(n), &edges);
-        let prog = || PageRankConvergentProgram {
-            r: PAGERANK_R,
-            tolerance: 1e-4,
-            max_iterations: 30,
+        let job = || {
+            let prog = PageRankConvergentProgram {
+                r: PAGERANK_R,
+                tolerance: 1e-4,
+                max_iterations: 30,
+            };
+            GasJob::new(&g.out, prog, vec![1.0f64; g.num_vertices()], 32)
         };
-        let init = vec![1.0f64; g.num_vertices()];
-        let (giraph_pr, _) = engine::run(
-            &g.out,
-            None,
-            &Gas(prog()),
-            init.clone(),
-            vec![],
-            true,
-            &giraph::config(32, 1),
-            NODES,
-            1,
-        )
-        .unwrap();
-        let (graphmat_pr, _) =
-            graphmat::run(&g.out, None, &prog(), init, vec![], true, 32, NODES, 1).unwrap();
+        let (giraph_pr, _) = giraph().run(job(), NODES).unwrap();
+        let (graphmat_pr, _) = Backend::GraphMat.run(job(), NODES).unwrap();
         assert_eq!(giraph_pr, graphmat_pr, "{name}: ranks diverge");
     }
 }
@@ -131,8 +128,8 @@ fn bfs_lowering_is_bit_identical_to_giraph() {
     for (name, n, edges) in fixtures(0xA11C_E200) {
         let g = UndirectedGraph::from_edges(u64::from(n), &edges);
         let source = (u64::from(n) / 3) as u32;
-        let (giraph_d, _) = giraph::bfs(&g, source, NODES).unwrap();
-        let (graphmat_d, _) = graphmat::bfs(&g, source, NODES).unwrap();
+        let (giraph_d, _) = giraph().run(bfs_job(&g, source), NODES).unwrap();
+        let (graphmat_d, _) = Backend::GraphMat.run(bfs_job(&g, source), NODES).unwrap();
         assert_eq!(giraph_d, graphmat_d, "{name}: distances diverge");
     }
 }
@@ -144,8 +141,10 @@ fn msbfs_lowering_is_bit_identical_to_giraph() {
         // 65 sources so the mask spans two words
         let mut rng = TestRng(u64::from(n));
         let sources: Vec<u32> = (0..65).map(|_| rng.below(u64::from(n)) as u32).collect();
-        let (giraph_rows, _) = giraph::msbfs(&g, &sources, NODES).unwrap();
-        let (graphmat_rows, _) = graphmat::msbfs(&g, &sources, NODES).unwrap();
+        let (giraph_rows, _) = giraph().run(msbfs_job(&g, &sources), NODES).unwrap();
+        let (graphmat_rows, _) = Backend::GraphMat
+            .run(msbfs_job(&g, &sources), NODES)
+            .unwrap();
         assert_eq!(giraph_rows, graphmat_rows, "{name}: rows diverge");
     }
 }
@@ -155,8 +154,10 @@ fn triangle_lowering_matches_giraph_count() {
     for (name, n, edges) in fixtures(0xA11C_E400) {
         let el = EdgeList::from_edges(u64::from(n), edges).unwrap();
         let oriented = orient_and_sort(&el);
-        let (giraph_tc, _) = giraph::triangles(&oriented, NODES).unwrap();
-        let (graphmat_tc, _) = graphmat::triangles(&oriented, NODES).unwrap();
+        let (giraph_tc, _) = giraph().run(triangle_job(&oriented), NODES).unwrap();
+        let (graphmat_tc, _) = Backend::GraphMat
+            .run(triangle_job(&oriented), NODES)
+            .unwrap();
         assert_eq!(giraph_tc, graphmat_tc, "{name}: counts diverge");
     }
 }
@@ -170,8 +171,9 @@ fn cf_lowering_is_bit_identical_to_giraph_at_splits_1() {
     for (scale, items, seed) in [(8u32, 64u32, 71u64), (9, 32, 72)] {
         let wl = Workload::rmat_ratings(scale, items, seed);
         let g = wl.ratings().unwrap();
-        let (giraph_f, _) = giraph::cf_gd(g, 8, 0.05, 0.005, 2, NODES, 1).unwrap();
-        let (graphmat_f, _) = graphmat::cf_gd(g, 8, 0.05, 0.005, 2, NODES).unwrap();
+        let job = || cf_gd_job(g, 8, 0.05, 0.005, 2);
+        let (giraph_f, _) = giraph().run(job(), NODES).unwrap();
+        let (graphmat_f, _) = Backend::GraphMat.run(job(), NODES).unwrap();
         assert_eq!(giraph_f, graphmat_f, "s{scale}/i{items}: factors diverge");
     }
 }
