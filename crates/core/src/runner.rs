@@ -221,8 +221,9 @@ pub struct RunOutcome {
 
 /// Runs `algorithm` under `framework` on `workload` over `nodes`
 /// simulated nodes. Fails with [`SimError::InvalidConfig`] when the
-/// combination is impossible (Galois multi-node, missing graph view) and
-/// propagates engine failures (e.g. out-of-memory).
+/// combination is impossible (Galois multi-node, missing graph view, a
+/// BFS source outside the graph) and propagates engine failures (e.g.
+/// out-of-memory).
 pub fn run_benchmark(
     algorithm: Algorithm,
     framework: Framework,
@@ -235,14 +236,19 @@ pub fn run_benchmark(
         Algorithm::PageRank => engine.pagerank(workload.directed()?, nodes, params)?,
         Algorithm::Bfs => {
             let g = workload.undirected()?;
-            let src = if params.bfs_source == u32::MAX {
+            let n = g.num_vertices();
+            let src = match params.bfs_source {
                 // highest-degree vertex: a seed the paper's Graph500-style
                 // runs would accept (non-isolated, large reach)
-                (0..g.num_vertices() as u32)
-                    .max_by_key(|&v| g.adj.degree(v))
-                    .unwrap_or(0)
-            } else {
-                params.bfs_source
+                u32::MAX => (0..n as u32).max_by_key(|&v| g.adj.degree(v)).unwrap_or(0),
+                v if (v as usize) < n => v,
+                // settable from the serve socket; every engine indexes
+                // its distance array with it
+                v => {
+                    return Err(SimError::InvalidConfig(format!(
+                        "bfs_source {v} is not a vertex of a {n}-vertex graph"
+                    )))
+                }
             };
             engine.bfs(g, src, nodes, params)?
         }
@@ -302,6 +308,31 @@ mod tests {
             Err(SimError::InvalidConfig(_))
         ));
         assert!(!Framework::Galois.multi_node());
+    }
+
+    #[test]
+    fn bfs_source_outside_the_graph_is_a_typed_failure_on_every_framework() {
+        let wl = Workload::rmat(7, 4, 75);
+        let n = wl.undirected().unwrap().num_vertices() as u32;
+        let run = |fw, bfs_source| {
+            let params = BenchParams {
+                bfs_source,
+                ..BenchParams::default()
+            };
+            run_benchmark(Algorithm::Bfs, fw, &wl, 1, &params)
+        };
+        for fw in Framework::ALL {
+            for bfs_source in [n, n + 1, u32::MAX - 1] {
+                let err = run(fw, bfs_source).unwrap_err();
+                assert!(
+                    matches!(&err, SimError::InvalidConfig(m) if m.contains("bfs_source")),
+                    "{fw:?} source {bfs_source}: {err}"
+                );
+            }
+            // the last vertex and the "pick the hub" default still run
+            run(fw, n - 1).unwrap();
+            run(fw, u32::MAX).unwrap();
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * the **scatter frontier** (every vertex broadcasts one message to
 //!   all out-neighbors, the GAS invariant) is the sparse input vector
 //!   `x`;
-//! * the **gather monoid** is the semiring ⊕, reduced into a
-//!   [`SparseAccumulator`] in frontier order — bit-identical to the
+//! * the **gather monoid** is the semiring ⊕, folded into the shared
+//!   `vertex::gas` inbox (the SPA) in frontier order — bit-identical to the
 //!   arrival-order inbox fold of the vertex engines, so digests match
 //!   Giraph's exactly;
 //! * [`GasProgram::gather_mask`] becomes GraphBLAST's complement output
@@ -34,43 +34,8 @@ use graphmaze_graph::VertexId;
 use graphmaze_metrics::{RunReport, Work};
 
 use crate::spmv::matrix::DistMatrix;
-use crate::spmv::semiring::{GatherMonoid, SparseAccumulator};
-use crate::vertex::engine::VertexGraphView;
-use crate::vertex::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
-
-/// Streaming phases assumed for transient frontier/SPA buffers (the
-/// backend never buffers a whole superstep; mirrors the vertex engine's
-/// streamed path).
-const STREAM_PHASES: u64 = 16;
-
-/// The lowered inbox: a sparse accumulator shaped by the program's
-/// declared gather mode.
-enum Inbox<M: Clone> {
-    Fold(GatherMonoid<M>, SparseAccumulator<M>),
-    Collect(SparseAccumulator<Vec<M>>),
-}
-
-impl<M: Clone> Inbox<M> {
-    fn touched(&self) -> usize {
-        match self {
-            Inbox::Fold(_, spa) => spa.len(),
-            Inbox::Collect(spa) => spa.len(),
-        }
-    }
-
-    fn indices(&self) -> &[u32] {
-        match self {
-            Inbox::Fold(_, spa) => spa.indices(),
-            Inbox::Collect(spa) => spa.indices(),
-        }
-    }
-}
-
-/// A drained delivery, ready for one apply call.
-enum Delivery<M> {
-    Folded(M),
-    All(Vec<M>),
-}
+use crate::vertex::engine::{VertexGraphView, STREAM_PHASES};
+use crate::vertex::gas::{ApplyContext, GasJob, GasProgram, Inbox};
 
 /// Runs `job` to completion (or `job.max_supersteps`) by lowering it to
 /// per-superstep masked SpMSpV over the graph's 2-D block decomposition.
@@ -101,83 +66,37 @@ pub(crate) fn run<P: GasProgram, R>(
         sim.alloc(p, bytes, "graphmat:A+vectors")?;
     }
 
-    let mut inbox: Inbox<P::Msg> = match program.gather() {
-        GatherMode::Fold(monoid) => Inbox::Fold(monoid, SparseAccumulator::new(n)),
-        GatherMode::Collect => Inbox::Collect(SparseAccumulator::new(n)),
-    };
     // seed messages enter the superstep-0 SPA unmasked, in their given
     // order — exactly the vertex engine's pre-seeded inboxes
-    match &mut inbox {
-        Inbox::Fold(monoid, spa) => {
-            for (v, m) in &job.seeds {
-                spa.scatter(*v, |acc| {
-                    (monoid.combine)(&acc.unwrap_or_else(|| monoid.identity.clone()), m)
-                });
-            }
-        }
-        Inbox::Collect(spa) => {
-            for (v, m) in &job.seeds {
-                spa.scatter(*v, |acc| {
-                    let mut list = acc.unwrap_or_default();
-                    list.push(m.clone());
-                    list
-                });
-            }
-        }
-    }
-
+    let mut inbox = Inbox::new(program.gather(), out_csr, job.seeds, |m| {
+        program.message_bytes(m)
+    });
     let mut active: Vec<bool> = vec![job.activate_all; n];
-    if !job.activate_all {
-        for &v in inbox.indices() {
-            active[v as usize] = true;
-        }
+    for &v in inbox.arrived() {
+        active[v as usize] = true;
     }
 
+    let column_block: Vec<u32> = (0..n as u32).map(|v| grid.owner(0, v) as u32).collect();
+    // scattering vertices of the superstep with their declared bytes
+    let mut frontier: Vec<(VertexId, u64)> = Vec::new();
+    let mut mask = vec![true; n];
+    let mut per_block = vec![0u64; nodes];
+    let mut transient = vec![0u64; nodes];
     let mut superstep = 0u32;
     let mut prev_aggregate = 0.0f64;
-    while superstep < job.max_supersteps {
-        if !active.iter().any(|&a| a) {
-            break;
-        }
+    while superstep < job.max_supersteps && active.contains(&true) {
         sim.phase(&format!("superstep:{superstep}"));
 
-        // ---- apply: drain the SPA and step every active vertex, in
-        // ascending vertex order (the SPA drains sorted, and for an
-        // ascending frontier its folds replay the engines' inbox order)
-        let delivered: Vec<(u32, Delivery<P::Msg>)> = match &mut inbox {
-            Inbox::Fold(_, spa) => spa
-                .drain_sorted()
-                .into_iter()
-                .map(|(i, m)| (i, Delivery::Folded(m)))
-                .collect(),
-            Inbox::Collect(spa) => spa
-                .drain_sorted()
-                .into_iter()
-                .map(|(i, l)| (i, Delivery::All(l)))
-                .collect(),
-        };
+        // ---- apply: step every active vertex in ascending vertex order
+        // (for an ascending frontier the inbox's folds replay the
+        // engines' arrival order)
         let mut aggregate_acc = 0.0f64;
-        let mut frontier: Vec<(VertexId, P::Msg)> = Vec::new();
-        let mut cursor = 0usize;
+        frontier.clear();
         for v in 0..n {
             if !active[v] {
                 continue;
             }
-            let hit = cursor < delivered.len() && delivered[cursor].0 as usize == v;
-            let gathered = if hit {
-                match &delivered[cursor].1 {
-                    Delivery::Folded(m) => Gathered::Folded(m.clone()),
-                    Delivery::All(l) => Gathered::All(l.as_slice()),
-                }
-            } else {
-                match &inbox {
-                    Inbox::Fold(monoid, _) => Gathered::Folded(monoid.identity.clone()),
-                    Inbox::Collect(_) => Gathered::All(&[]),
-                }
-            };
-            if hit {
-                cursor += 1;
-            }
+            let (gathered, _, _) = inbox.take(v as VertexId);
             let mut actx = ApplyContext::new(prev_aggregate);
             let scatter = program.apply(
                 superstep,
@@ -192,32 +111,39 @@ pub(crate) fn run<P: GasProgram, R>(
                 active[v] = false;
             }
             if let Some(msg) = scatter {
-                frontier.push((v as VertexId, msg));
+                frontier.push((v as VertexId, program.message_bytes(&msg)));
+                inbox.scatter(v as VertexId, msg);
             }
         }
 
-        // ---- gather for the next superstep: one masked SpMSpV; the
-        // complement mask drops products that cannot affect their target
-        let mask: Vec<bool> = values.iter().map(|val| program.gather_mask(val)).collect();
-        let per_block = match &mut inbox {
-            Inbox::Fold(monoid, spa) => {
-                let monoid = monoid.clone();
-                matrix.spmspv_monoid(&frontier, &monoid, Some(&mask), spa)
+        // ---- gather for the next superstep: one masked SpMSpV,
+        // `y⟨¬m⟩ = Aᵀ ⊕.⊗ x` with a pass-through ⊗, delivered in frontier
+        // order. The complement mask drops products that cannot affect
+        // their target, but a masked edge is still streamed and counted.
+        for (m, value) in mask.iter_mut().zip(&values) {
+            *m = program.gather_mask(value);
+        }
+        per_block.fill(0);
+        for &(u, bytes) in &frontier {
+            // owner(u, v) = owner(u, 0) + owner(0, v): one table lookup
+            // per edge instead of two divisions
+            let row = grid.owner(u, 0);
+            for &v in out_csr.neighbors(u) {
+                per_block[row + column_block[v as usize] as usize] += 1;
+                if mask[v as usize] {
+                    inbox.deliver(v, u, bytes);
+                }
             }
-            Inbox::Collect(spa) => matrix.spmspv_collect(&frontier, Some(&mask), spa),
-        };
-        // a message exists for every traversed edge, masked or not
-        let traversed: u64 = per_block.iter().sum();
-        let any_message = traversed > 0;
+        }
+        inbox.flip();
 
         // ---- cost model: block streaming + the 2-D SpMSpV exchange
-        let total_msg_bytes: u64 = frontier.iter().map(|(_, m)| program.message_bytes(m)).sum();
+        let total_msg_bytes: u64 = frontier.iter().map(|&(_, bytes)| bytes).sum();
         let elem = if frontier.is_empty() {
             0
         } else {
             total_msg_bytes / frontier.len() as u64
         };
-        let mut transient = vec![0u64; nodes];
         for (p, &e) in per_block.iter().enumerate() {
             sim.charge(
                 p,
@@ -234,7 +160,7 @@ pub(crate) fn run<P: GasProgram, R>(
             let pr = grid.pr as u64;
             let in_bytes = frontier.len() as u64 * 4 + total_msg_bytes;
             let in_raw = frontier.len() as u64 * (4 + elem);
-            let out_bytes = inbox.touched() as u64 * (4 + elem);
+            let out_bytes = inbox.arrived().len() as u64 * (4 + elem);
             for p in 0..nodes {
                 let (r, c) = grid.coords(p);
                 // frontier broadcast down the process column
@@ -269,7 +195,7 @@ pub(crate) fn run<P: GasProgram, R>(
         router.allreduce(&mut sim, 8);
         prev_aggregate = aggregate_acc;
         // wake destinations with (unmasked) deliveries
-        for &v in inbox.indices() {
+        for &v in inbox.arrived() {
             active[v as usize] = true;
         }
         superstep += 1;
@@ -278,19 +204,19 @@ pub(crate) fn run<P: GasProgram, R>(
         {
             sim.end_iteration();
         }
-        if !any_message && active.iter().all(|&a| !a) {
-            break;
-        }
     }
     Ok(((job.finish)(program, values), sim.finish()))
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::vertex::engine::VertexGraphView;
+    use crate::vertex::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
     use crate::vertex::programs::{bfs_job, msbfs_job, pagerank_job, triangle_job};
     use crate::vertex::{giraph, graphlab, Backend};
     use graphmaze_datagen::{rmat, RmatConfig, RmatParams};
     use graphmaze_graph::csr::{DirectedGraph, UndirectedGraph};
+    use graphmaze_graph::VertexId;
     use graphmaze_native::pagerank::pagerank as native_pagerank;
     use graphmaze_native::triangle::{orient_and_sort, triangles as native_triangles};
     use graphmaze_native::PAGERANK_R;
@@ -381,6 +307,62 @@ mod tests {
             gm.sim_seconds,
             native.sim_seconds
         );
+    }
+
+    /// Floods once; every vertex counts what it receives, but vertices
+    /// whose value is `MASKED` declare (inexactly, for the test) that a
+    /// delivery cannot affect them.
+    struct CountUnlessMasked;
+
+    const MASKED: u32 = 1000;
+
+    impl GasProgram for CountUnlessMasked {
+        type Value = u32;
+        type Msg = u32;
+
+        fn gather(&self) -> GatherMode<u32> {
+            GatherMode::Collect
+        }
+
+        fn apply(
+            &self,
+            superstep: u32,
+            v: VertexId,
+            value: &mut u32,
+            gathered: Gathered<'_, u32>,
+            _g: &VertexGraphView<'_>,
+            ctx: &mut ApplyContext,
+        ) -> Option<u32> {
+            *value += gathered.all().len() as u32;
+            ctx.vote_to_halt();
+            (superstep == 0).then_some(v)
+        }
+
+        fn gather_mask(&self, value: &u32) -> bool {
+            *value != MASKED
+        }
+
+        fn message_bytes(&self, _: &u32) -> u64 {
+            4
+        }
+
+        fn value_bytes(&self) -> u64 {
+            4
+        }
+    }
+
+    #[test]
+    fn mask_drops_the_delivery_but_not_the_traversed_edge() {
+        // Figure 2 (in-degrees 0, 1, 2, 2) with vertex 2 masked off
+        let csr = graphmaze_graph::fixtures::fig2_csr();
+        for nodes in [1, 4] {
+            let job = GasJob::new(&csr, CountUnlessMasked, vec![0, 0, MASKED, 0], 10);
+            let (values, report) = Backend::GraphMat.run(job, nodes).unwrap();
+            // vertex 2 never hears of its two in-edges and stays asleep
+            assert_eq!(values, [0, 1, MASKED, 2], "nodes={nodes}");
+            // all five edges were streamed and charged all the same
+            assert_eq!(report.total_work.rand_accesses, 5, "nodes={nodes}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use graphmaze_graph::csr::Csr;
 use graphmaze_graph::VertexId;
 use graphmaze_metrics::Work;
 
-use super::semiring::{GatherMonoid, Semiring, SparseAccumulator};
+use super::semiring::Semiring;
 
 /// A sparse matrix distributed over a square process grid. The matrix is
 /// the graph's adjacency: entry `(u, v)` is edge `u → v`; numeric entry
@@ -267,65 +267,6 @@ impl<'a> DistMatrix<'a> {
         out
     }
 
-    /// Generalized masked SpMSpV over a gather monoid — GraphBLAST's
-    /// `y⟨¬m⟩ = Aᵀ ⊕.⊗ x` with a pass-through ⊗: every frontier entry
-    /// `(u, msg)` contributes `msg` to each out-neighbor `v` of `u`,
-    /// folded into `spa` with ⊕ in frontier order. For a frontier in
-    /// ascending vertex order this reproduces the arrival-order inbox
-    /// fold of the vertex engines exactly, which is what keeps lowered
-    /// programs bit-identical. Products whose destination is masked off
-    /// (`mask[v] == false`) are dropped before the fold — the
-    /// complement output mask.
-    ///
-    /// Pure compute: returns per-block traversed-edge counts so callers
-    /// (the GraphMat lowering) can charge work and the 2-D communication
-    /// pattern themselves, pricing messages by program-declared sizes.
-    pub fn spmspv_monoid<M: Clone>(
-        &self,
-        x: &[(VertexId, M)],
-        monoid: &GatherMonoid<M>,
-        mask: Option<&[bool]>,
-        spa: &mut SparseAccumulator<M>,
-    ) -> Vec<u64> {
-        let mut per_block = vec![0u64; self.grid.nodes()];
-        for (u, xu) in x {
-            for &v in self.csr.neighbors(*u) {
-                per_block[self.grid.owner(*u, v)] += 1;
-                if mask.is_none_or(|m| m[v as usize]) {
-                    spa.scatter(v, |acc| {
-                        (monoid.combine)(&acc.unwrap_or_else(|| monoid.identity.clone()), xu)
-                    });
-                }
-            }
-        }
-        per_block
-    }
-
-    /// [`DistMatrix::spmspv_monoid`] for `Collect`-mode gathers: no ⊕
-    /// exists, so each destination accumulates the list of products in
-    /// frontier order — the raw inbox a collect-mode apply walks.
-    pub fn spmspv_collect<M: Clone>(
-        &self,
-        x: &[(VertexId, M)],
-        mask: Option<&[bool]>,
-        spa: &mut SparseAccumulator<Vec<M>>,
-    ) -> Vec<u64> {
-        let mut per_block = vec![0u64; self.grid.nodes()];
-        for (u, xu) in x {
-            for &v in self.csr.neighbors(*u) {
-                per_block[self.grid.owner(*u, v)] += 1;
-                if mask.is_none_or(|m| m[v as usize]) {
-                    spa.scatter(v, |acc| {
-                        let mut list = acc.unwrap_or_default();
-                        list.push(xu.clone());
-                        list
-                    });
-                }
-            }
-        }
-        per_block
-    }
-
     /// The §6.2 roadmap's CombBLAS fix: "combine A² computation with
     /// intersection with A, thereby also achieving overlap of computation
     /// and communication" — a *fused, masked* SpGEMM that only evaluates
@@ -506,50 +447,6 @@ mod tests {
         // level 1 = neighbors of 0 with distance 0 (+ edge weight 1 via entry)
         let y = m.spmspv_transpose(&mut s, &x, 1, &MIN_PLUS, 4);
         assert_eq!(y, vec![(1, 1), (2, 1)]);
-    }
-
-    #[test]
-    fn spmspv_monoid_matches_the_semiring_kernel() {
-        use crate::spmv::semiring::min_u32;
-        let c = fig2();
-        let m = DistMatrix::new(&c, 4).unwrap();
-        let mut s = sim(4);
-        let x = vec![(0u32, 3u32), (1, 5)];
-        // entry 0 makes MIN_PLUS's ⊗ a pass-through, isolating the ⊕
-        let want = m.spmspv_transpose(&mut s, &x, 0, &MIN_PLUS, 4);
-        let mut spa = SparseAccumulator::new(4);
-        let per_block = m.spmspv_monoid(&x, &min_u32(), None, &mut spa);
-        assert_eq!(spa.drain_sorted(), want);
-        // 0 → {1,2}, 1 → {2,3}: four traversed edges across the grid
-        assert_eq!(per_block.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn spmspv_monoid_mask_drops_products_but_not_work() {
-        use crate::spmv::semiring::min_u32;
-        let c = fig2();
-        let m = DistMatrix::new(&c, 1).unwrap();
-        let mut spa = SparseAccumulator::new(4);
-        let mask = [true, false, true, true];
-        let x = vec![(0u32, 3u32), (1, 5)];
-        let per_block = m.spmspv_monoid(&x, &min_u32(), Some(&mask), &mut spa);
-        // vertex 1 is masked off the output; the edge is still streamed
-        assert_eq!(spa.drain_sorted(), vec![(2, 3), (3, 5)]);
-        assert_eq!(per_block.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn spmspv_collect_preserves_frontier_order() {
-        let c = fig2();
-        let m = DistMatrix::new(&c, 1).unwrap();
-        let mut spa: SparseAccumulator<Vec<u32>> = SparseAccumulator::new(4);
-        // deliberately non-ascending frontier: order must be preserved
-        let x = vec![(1u32, 10u32), (0, 20)];
-        m.spmspv_collect(&x, None, &mut spa);
-        assert_eq!(
-            spa.drain_sorted(),
-            vec![(1, vec![20]), (2, vec![10, 20]), (3, vec![10])]
-        );
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! min/select algebra over levels.
 //!
 //! [`GatherMonoid`] generalizes the ⊕ half past `Copy` element types —
-//! the algebra a GAS vertex program declares for its gather step — and
-//! [`SparseAccumulator`] is the GraphBLAST-style SPA that masked SpMSpV
-//! reduces into.
+//! the algebra a GAS vertex program declares for its gather step.
 
 /// A semiring over element type `T`.
 #[derive(Clone, Copy)]
@@ -68,28 +66,17 @@ pub const PLUS_TIMES_U64: Semiring<u64> = Semiring {
 pub struct GatherMonoid<M: Clone> {
     /// The ⊕ identity (the semiring's `zero`).
     pub identity: M,
-    /// ⊕ — associative, with `identity` as its neutral element.
-    pub combine: fn(&M, &M) -> M,
-}
-
-impl<M: Clone> GatherMonoid<M> {
-    /// Left-folds `msgs` with ⊕ starting from the identity — the exact
-    /// reduction a vertex inbox undergoes, so engines that fold eagerly
-    /// (a sparse accumulator) and engines that fold at delivery (a
-    /// message combiner) produce bit-identical results.
-    pub fn fold<'a>(&self, msgs: impl Iterator<Item = &'a M>) -> M
-    where
-        M: 'a,
-    {
-        msgs.fold(self.identity.clone(), |acc, m| (self.combine)(&acc, m))
-    }
+    /// ⊕ in place, `acc ← acc ⊕ m` — associative, with `identity` as its
+    /// neutral element. In place so that a heap-backed accumulator (the
+    /// msbfs mask words) is reused across every message folded into it.
+    pub combine: fn(&mut M, &M),
 }
 
 /// `(+, 0)` over `f64` — [`PLUS_TIMES`]'s ⊕ (PageRank's gather).
 pub fn plus_f64() -> GatherMonoid<f64> {
     GatherMonoid {
         identity: 0.0,
-        combine: |a, b| a + b,
+        combine: |a, b| *a += *b,
     }
 }
 
@@ -97,7 +84,7 @@ pub fn plus_f64() -> GatherMonoid<f64> {
 pub fn min_u32() -> GatherMonoid<u32> {
     GatherMonoid {
         identity: u32::MAX,
-        combine: |a, b| *a.min(b),
+        combine: |a, b| *a = (*a).min(*b),
     }
 }
 
@@ -106,64 +93,7 @@ pub fn min_u32() -> GatherMonoid<u32> {
 pub fn or_words(width: usize) -> GatherMonoid<Vec<u64>> {
     GatherMonoid {
         identity: vec![0u64; width],
-        combine: |a, b| a.iter().zip(b).map(|(x, y)| x | y).collect(),
-    }
-}
-
-/// A sparse accumulator (SPA): dense slots plus a touched-index list, the
-/// GraphBLAST workhorse that masked SpMSpV reduces partial products into.
-/// `scatter` folds a value into a slot in arrival order; `drain_sorted`
-/// yields the accumulated entries in ascending index order and resets the
-/// SPA for reuse.
-pub struct SparseAccumulator<A> {
-    slots: Vec<Option<A>>,
-    touched: Vec<u32>,
-}
-
-impl<A> SparseAccumulator<A> {
-    /// An empty SPA over indices `0..n`.
-    pub fn new(n: usize) -> Self {
-        SparseAccumulator {
-            slots: (0..n).map(|_| None).collect(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Number of touched (nonzero) slots.
-    pub fn len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Whether no slot has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
-    /// Folds a value into slot `index`: `update` receives the current
-    /// accumulation (`None` on first touch) and returns the new one.
-    pub fn scatter(&mut self, index: u32, update: impl FnOnce(Option<A>) -> A) {
-        let slot = &mut self.slots[index as usize];
-        if slot.is_none() {
-            self.touched.push(index);
-        }
-        *slot = Some(update(slot.take()));
-    }
-
-    /// Indices touched since the last drain, in first-touch order.
-    pub fn indices(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// Drains the touched entries in ascending index order, leaving the
-    /// SPA empty.
-    pub fn drain_sorted(&mut self) -> Vec<(u32, A)> {
-        self.touched.sort_unstable();
-        let mut out = Vec::with_capacity(self.touched.len());
-        for &i in &self.touched {
-            out.push((i, self.slots[i as usize].take().expect("touched slot")));
-        }
-        self.touched.clear();
-        out
+        combine: |a, b| a.iter_mut().zip(b).for_each(|(x, y)| *x |= y),
     }
 }
 
@@ -184,53 +114,28 @@ mod tests {
         assert_eq!((MIN_PLUS.mul)(u32::MAX, 1), u32::MAX);
     }
 
+    /// Left-folds `msgs` with ⊕ from the identity — the reduction a
+    /// fold-mode inbox performs on arrival.
+    fn fold<M: Clone>(monoid: &GatherMonoid<M>, msgs: &[M]) -> M {
+        let mut acc = monoid.identity.clone();
+        for m in msgs {
+            (monoid.combine)(&mut acc, m);
+        }
+        acc
+    }
+
     #[test]
     fn gather_monoids_mirror_their_semirings() {
         // folding with the monoid == summing with the semiring's ⊕
         let msgs = [1.5f64, 2.25, -0.5];
-        assert_eq!(
-            plus_f64().fold(msgs.iter()),
-            PLUS_TIMES.sum(msgs.into_iter())
-        );
+        assert_eq!(fold(&plus_f64(), &msgs), PLUS_TIMES.sum(msgs.into_iter()));
         let levels = [7u32, 3, 9];
-        assert_eq!(
-            min_u32().fold(levels.iter()),
-            MIN_PLUS.sum(levels.into_iter())
-        );
+        assert_eq!(fold(&min_u32(), &levels), MIN_PLUS.sum(levels.into_iter()));
         // empty inboxes fold to the identity, not a sentinel
-        assert_eq!(min_u32().fold([].iter()), u32::MAX);
+        assert_eq!(fold(&min_u32(), &[]), u32::MAX);
         let words = [vec![0b01u64, 0b10], vec![0b10u64, 0b10]];
-        assert_eq!(or_words(2).fold(words.iter()), vec![0b11u64, 0b10]);
-        assert_eq!(or_words(2).fold([].iter()), vec![0u64, 0]);
-    }
-
-    #[test]
-    fn sparse_accumulator_folds_in_arrival_order_and_drains_sorted() {
-        let mono = min_u32();
-        let mut spa: SparseAccumulator<u32> = SparseAccumulator::new(8);
-        assert!(spa.is_empty());
-        for (v, m) in [(5u32, 4u32), (2, 9), (5, 3), (2, 11)] {
-            spa.scatter(v, |acc| (mono.combine)(&acc.unwrap_or(mono.identity), &m));
-        }
-        assert_eq!(spa.len(), 2);
-        assert_eq!(spa.drain_sorted(), vec![(2, 9), (5, 3)]);
-        // drained SPA is reusable
-        assert!(spa.is_empty());
-        spa.scatter(7, |acc| (mono.combine)(&acc.unwrap_or(mono.identity), &1));
-        assert_eq!(spa.drain_sorted(), vec![(7, 1)]);
-    }
-
-    #[test]
-    fn sparse_accumulator_collects_lists_in_order() {
-        let mut spa: SparseAccumulator<Vec<u32>> = SparseAccumulator::new(4);
-        for (v, m) in [(1u32, 10u32), (3, 20), (1, 30)] {
-            spa.scatter(v, |acc| {
-                let mut list = acc.unwrap_or_default();
-                list.push(m);
-                list
-            });
-        }
-        assert_eq!(spa.drain_sorted(), vec![(1, vec![10, 30]), (3, vec![20])]);
+        assert_eq!(fold(&or_words(2), &words), vec![0b11u64, 0b10]);
+        assert_eq!(fold(&or_words(2), &[]), vec![0u64, 0]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use graphmaze_graph::csr::Csr;
 use graphmaze_graph::VertexId;
 use graphmaze_metrics::{RunReport, Work};
 
-use super::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
+use super::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Inbox};
 
 /// Read-only view of the graph a vertex program may consult: its own
 /// out-edges and degrees (a vertex program "can only access local data",
@@ -93,14 +93,23 @@ pub struct EngineConfig {
 }
 
 /// Number of streaming phases assumed when messages are *not* buffered
-/// whole (mirrors native overlap blocking).
-const STREAM_PHASES: u64 = 16;
+/// whole (mirrors native overlap blocking); the GraphMat lowering streams
+/// its transient frontier/SPA buffers the same way.
+pub(crate) const STREAM_PHASES: u64 = 16;
+
+/// The outgoing message plane, one reused mailbox per node. `Fold`
+/// programs post the (small, algebraic) value, so the declared ⊕ still
+/// combines it; `Collect` programs post the sender's id, a handle.
+enum Outbox<M> {
+    Values(Vec<Mailbox<M>>),
+    Handles(Vec<Mailbox<u32>>),
+}
 
 /// Runs `job` to completion (or `job.max_supersteps`) on the simulated
 /// cluster. Seed messages fill the superstep-0 inboxes; every seeded
 /// vertex (or every vertex, with `activate_all`) is active first. Each
 /// active vertex's inbox is gathered — left-folded from the monoid
-/// identity in arrival order, or handed over verbatim — applied, and the
+/// identity in arrival order, or walked verbatim — applied, and the
 /// returned scatter message posted to every out-neighbor in adjacency
 /// order.
 pub(crate) fn run<P: GasProgram, R>(
@@ -119,6 +128,10 @@ pub(crate) fn run<P: GasProgram, R>(
     let per_message_overhead_bytes = cfg.profile.router.per_message_overhead_bytes;
     let buffer_whole_superstep = cfg.profile.router.flush == FlushPolicy::Barrier;
     let part = Partition1D::balanced_by_edges(out_csr, nodes);
+    // owner node of every vertex, looked up per edge
+    let owner: Vec<u32> = (0..nodes)
+        .flat_map(|node| std::iter::repeat_n(node as u32, part.len(node)))
+        .collect();
 
     // static allocations: graph slice + values; the declared layout
     // lets an elastic plan's repartitioner weight its cuts by real
@@ -138,28 +151,33 @@ pub(crate) fn run<P: GasProgram, R>(
     });
     let is_hub = |v: VertexId| -> bool { hub_threshold.is_some_and(|t| out_csr.degree(v) >= t) };
 
-    // the declared ⊕ reduces each inbox at apply time and, when the
+    // the declared ⊕ reduces each inbox as messages arrive and, when the
     // framework combines, doubles as the message plane's local reduction
     let gather = program.gather();
     let combine_fn;
     let combine: Combiner<'_, P::Msg> = match &gather {
         GatherMode::Fold(monoid) if cfg.use_combiner => {
             let op = monoid.combine;
-            combine_fn = move |a: &P::Msg, b: &P::Msg| Some(op(a, b));
+            combine_fn = move |a: &P::Msg, b: &P::Msg| {
+                let mut combined = a.clone();
+                op(&mut combined, b);
+                Some(combined)
+            };
             Some(&combine_fn)
         }
         _ => None,
     };
-
-    let mut inbox: Vec<Vec<P::Msg>> = (0..n).map(|_| Vec::new()).collect();
-    for (v, m) in job.seeds {
-        inbox[v as usize].push(m);
-    }
-    let mut active: Vec<bool> = if job.activate_all {
-        vec![true; n]
-    } else {
-        inbox.iter().map(|b| !b.is_empty()).collect()
+    let mut outbox: Outbox<P::Msg> = match &gather {
+        GatherMode::Fold(_) => Outbox::Values((0..nodes).map(|i| Mailbox::new(i, nodes)).collect()),
+        GatherMode::Collect => {
+            Outbox::Handles((0..nodes).map(|i| Mailbox::new(i, nodes)).collect())
+        }
     };
+    let mut inbox = Inbox::new(gather, out_csr, job.seeds, |m| program.message_bytes(m));
+    let mut active: Vec<bool> = vec![job.activate_all; n];
+    for &v in inbox.arrived() {
+        active[v as usize] = true;
+    }
 
     let splits = cfg.superstep_splits.max(1);
     let mut superstep = 0u32;
@@ -167,14 +185,14 @@ pub(crate) fn run<P: GasProgram, R>(
     // visible to every vertex in the next superstep (tiny allreduce —
     // 8 bytes per node pair, charged below)
     let mut prev_aggregate = 0.0f64;
-    while superstep < job.max_supersteps {
-        let any_active = active.iter().any(|&a| a);
-        if !any_active {
-            break;
-        }
-        // next inbox built as messages are routed
-        let mut next_inbox: Vec<Vec<P::Msg>> = (0..n).map(|_| Vec::new()).collect();
-        let mut any_message = false;
+    // declared bytes of the message each vertex scattered by handle
+    let mut sent_bytes: Vec<u64> = vec![0; n];
+    let mut split_alloc: Vec<u64> = vec![0; nodes];
+    // hub mirror syncs, batched into one bulk transfer per destination
+    // node at slice end
+    let mut hub_wire: Vec<u64> = vec![0; nodes];
+    let mut sent_to = vec![false; nodes];
+    while superstep < job.max_supersteps && active.contains(&true) {
         let mut aggregate_acc = 0.0f64;
 
         // process each split slice as its own barrier
@@ -184,7 +202,6 @@ pub(crate) fn run<P: GasProgram, R>(
             } else {
                 sim.phase(&format!("superstep:{superstep}/split:{split}"));
             }
-            let mut split_alloc: Vec<u64> = vec![0; nodes];
             for node in 0..nodes {
                 let range = part.range(node);
                 let slice_len = (range.end - range.start).div_ceil(splits);
@@ -194,24 +211,13 @@ pub(crate) fn run<P: GasProgram, R>(
                 let mut recv_msgs = 0u64;
                 let mut sent_bytes_local = 0u64;
                 let mut sent_msgs_local = 0u64;
-                // per-destination-node outgoing buffers for this slice
-                let mut mbox: Mailbox<P::Msg> = Mailbox::new(node, nodes);
-                // hub mirror syncs, batched into one bulk transfer per
-                // destination node at slice end
-                let mut hub_wire: Vec<u64> = vec![0; nodes];
                 for v in lo..hi {
                     if !active[v as usize] {
                         continue;
                     }
-                    let msgs = std::mem::take(&mut inbox[v as usize]);
-                    for m in &msgs {
-                        recv_bytes += program.message_bytes(m);
-                    }
-                    recv_msgs += msgs.len() as u64;
-                    let gathered = match &gather {
-                        GatherMode::Fold(monoid) => Gathered::Folded(monoid.fold(msgs.iter())),
-                        GatherMode::Collect => Gathered::All(&msgs),
-                    };
+                    let (gathered, msgs, bytes) = inbox.take(v);
+                    recv_msgs += msgs;
+                    recv_bytes += bytes;
                     let mut ctx = ApplyContext::new(prev_aggregate);
                     let scatter = program.apply(
                         superstep,
@@ -226,46 +232,65 @@ pub(crate) fn run<P: GasProgram, R>(
                         active[v as usize] = false;
                     }
                     let Some(msg) = scatter else { continue };
+                    let bytes = program.message_bytes(&msg);
+                    let neighbors = view.neighbors(v);
+                    sent_msgs_local += neighbors.len() as u64;
                     if is_hub(v) {
                         // replication: deliver everywhere, but only one
                         // value per remote node hits the wire (mirrors
                         // hold the hub's local edges already)
-                        let bytes = program.message_bytes(&msg);
-                        let mut sent_to = vec![false; nodes];
-                        for &dst in view.neighbors(v) {
-                            let dest = part.owner(dst);
+                        inbox.scatter(v, msg);
+                        for &dst in neighbors {
+                            let dest = owner[dst as usize] as usize;
                             sent_bytes_local += bytes;
-                            sent_msgs_local += 1;
                             if dest != node && !sent_to[dest] {
                                 sent_to[dest] = true;
                                 hub_wire[dest] += 4 + bytes;
                             }
-                            any_message = true;
-                            next_inbox[dst as usize].push(msg.clone());
+                            inbox.deliver(dst, v, bytes);
                         }
-                    } else {
-                        for &dst in view.neighbors(v) {
-                            sent_msgs_local += 1;
-                            mbox.post(part.owner(dst), dst, msg.clone());
+                        sent_to.fill(false);
+                        continue;
+                    }
+                    match &mut outbox {
+                        Outbox::Values(mboxes) => {
+                            for &dst in neighbors {
+                                mboxes[node].post(owner[dst as usize] as usize, dst, msg.clone());
+                            }
+                        }
+                        Outbox::Handles(mboxes) => {
+                            sent_bytes[v as usize] = bytes;
+                            inbox.scatter(v, msg);
+                            for &dst in neighbors {
+                                mboxes[node].post(owner[dst as usize] as usize, dst, v);
+                            }
                         }
                     }
                 }
                 // local reduction, id compression, per-message overhead
                 // and wire routing all happen in the message plane
-                sent_bytes_local += mbox.flush(
-                    &mut router,
-                    &mut sim,
-                    n as u64,
-                    |m| program.message_bytes(m),
-                    combine,
-                    |d, m| {
-                        any_message = true;
-                        next_inbox[d as usize].push(m);
-                    },
-                );
+                sent_bytes_local += match &mut outbox {
+                    Outbox::Values(mboxes) => mboxes[node].flush(
+                        &mut router,
+                        &mut sim,
+                        n as u64,
+                        |m| program.message_bytes(m),
+                        combine,
+                        |d, m| inbox.deliver_value(d, &m, program.message_bytes(&m)),
+                    ),
+                    Outbox::Handles(mboxes) => mboxes[node].flush(
+                        &mut router,
+                        &mut sim,
+                        n as u64,
+                        |&h| sent_bytes[h as usize],
+                        None,
+                        |d, h| inbox.deliver(d, h, sent_bytes[h as usize]),
+                    ),
+                };
                 // route batched hub mirror syncs
-                for (dest, &bytes) in hub_wire.iter().enumerate() {
-                    router.send(&mut sim, node, dest, bytes, bytes);
+                for (dest, bytes) in hub_wire.iter_mut().enumerate() {
+                    router.send(&mut sim, node, dest, *bytes, *bytes);
+                    *bytes = 0;
                 }
                 // compute cost for this node's slice
                 let w = Work {
@@ -309,21 +334,16 @@ pub(crate) fn run<P: GasProgram, R>(
         // aggregator allreduce: each node contributes 8 bytes
         router.allreduce(&mut sim, 8);
         prev_aggregate = aggregate_acc;
-        inbox = next_inbox;
+        inbox.flip();
         // wake vertices that received messages
-        for (v, buf) in inbox.iter().enumerate() {
-            if !buf.is_empty() {
-                active[v] = true;
-            }
+        for &v in inbox.arrived() {
+            active[v as usize] = true;
         }
         superstep += 1;
         if job.supersteps_per_iteration > 0
             && superstep.is_multiple_of(job.supersteps_per_iteration)
         {
             sim.end_iteration();
-        }
-        if !any_message && active.iter().all(|&a| !a) {
-            break;
         }
     }
     Ok(((job.finish)(program, values), sim.finish()))
@@ -333,6 +353,7 @@ pub(crate) fn run<P: GasProgram, R>(
 mod tests {
     use super::*;
     use crate::spmv::semiring::GatherMonoid;
+    use crate::vertex::gas::Gathered;
     use graphmaze_cluster::{ExecProfile, RouterConfig};
 
     /// A toy program: every vertex floods its id once, each vertex counts
@@ -410,7 +431,7 @@ mod tests {
         fn gather(&self) -> GatherMode<u64> {
             GatherMode::Fold(GatherMonoid {
                 identity: 0,
-                combine: |a, b| a + b,
+                combine: |a, b| *a += *b,
             })
         }
 
@@ -497,6 +518,60 @@ mod tests {
         let (values, _) = run(job, &engine_cfg(), 1).unwrap();
         // vertex 1 counts its initial message; vertex 2 counts the flood from 1
         assert_eq!(values, vec![0, 1, 1]);
+    }
+
+    /// Every vertex floods its id once and records the senders it hears
+    /// from, in the order the inbox yields them.
+    struct RecordSenders;
+
+    impl GasProgram for RecordSenders {
+        type Value = Vec<u32>;
+        type Msg = u32;
+
+        fn gather(&self) -> GatherMode<u32> {
+            GatherMode::Collect
+        }
+
+        fn apply(
+            &self,
+            superstep: u32,
+            v: VertexId,
+            value: &mut Vec<u32>,
+            gathered: Gathered<'_, u32>,
+            _g: &VertexGraphView<'_>,
+            ctx: &mut ApplyContext,
+        ) -> Option<u32> {
+            value.extend(gathered.all());
+            ctx.vote_to_halt();
+            (superstep == 0).then_some(v)
+        }
+
+        fn message_bytes(&self, _: &u32) -> u64 {
+            4
+        }
+
+        fn value_bytes(&self) -> u64 {
+            4
+        }
+    }
+
+    #[test]
+    fn hub_deliveries_arrive_ahead_of_their_nodes_mailbox_flush() {
+        // 0 and 2 each send to 5 only; 1 is a hub (five out-edges against
+        // an average of 7/6). On one node a hub delivers at apply time,
+        // 0 and 2 when the node's mailbox flushes at slice end.
+        let edges = [(0, 5), (1, 0), (1, 2), (1, 3), (1, 4), (1, 5), (2, 5)];
+        let csr = Csr::from_edges(6, &edges);
+        let job = || GasJob::new(&csr, RecordSenders, vec![vec![]; 6], 10);
+        let (plain, _) = run(job(), &engine_cfg(), 1).unwrap();
+        assert_eq!(plain[5], [0, 1, 2], "ascending sender without hubs");
+        let hubs = EngineConfig {
+            replicate_hubs_factor: Some(2.0),
+            ..engine_cfg()
+        };
+        let (replicated, _) = run(job(), &hubs, 1).unwrap();
+        assert_eq!(replicated[5], [1, 0, 2]);
+        assert_eq!(replicated[0], [1]);
     }
 
     #[test]

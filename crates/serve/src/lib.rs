@@ -807,6 +807,22 @@ mod tests {
     }
 
     #[test]
+    fn bfs_source_outside_the_graph_is_an_invalid_cell_not_a_panic() {
+        let state = quiet_state();
+        // rmat/s7 has 128 vertices
+        let line =
+            r#"{"op":"run","id":"b","algorithm":"bfs","spec":"rmat/s7/e4/x1","bfs_source":128}"#;
+        let (first, _) = state.handle_line(line);
+        let m = parse_flat_json(&first).unwrap();
+        assert_eq!(m["status"], "failed", "{first}");
+        assert_eq!(m["error_kind"], "invalid", "{first}");
+        assert!(m["error"].contains("bfs_source 128"), "{first}");
+        // deterministic, so the failure is a cacheable answer
+        let (second, _) = state.handle_line(line);
+        assert!(second.contains(r#""cache":"hit""#), "{second}");
+    }
+
+    #[test]
     fn elastic_runs_surface_cluster_metrics_live() {
         let state = quiet_state();
         // grow to 3 nodes, then node 1 departs: its partition must

@@ -206,12 +206,17 @@ fn panicking_cell_fails_alone() {
     };
     let mut sweep = Sweep::new("isolation");
     sweep.push(cell(Framework::Native, Algorithm::PageRank, params));
-    // out-of-range BFS source: the engine panics on this cell
-    let poisoned = BenchParams {
-        bfs_source: 1 << 30,
-        ..params
-    };
-    sweep.push(cell(Framework::Native, Algorithm::Bfs, poisoned));
+    // zero-item ratings: the generator's precondition assert panics
+    // while this cell's workload is built (an out-of-range BFS source,
+    // the old trigger, is now a typed InvalidConfig)
+    sweep.push(SweepCell {
+        spec: WorkloadSpec::RmatRatings {
+            scale: 8,
+            num_items: 0,
+            seed: 33,
+        },
+        ..cell(Framework::Native, Algorithm::CollaborativeFiltering, params)
+    });
     // Galois is single-node: InvalidConfig, not a panic
     sweep.push(cell(Framework::Galois, Algorithm::PageRank, params));
     sweep.push(cell(Framework::Giraph, Algorithm::PageRank, params));
