@@ -4,70 +4,45 @@
 //! task scheduling) compared to the native kernels, on identical inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphmaze_core::engines::datalog::socialite;
-use graphmaze_core::engines::spmv::combblas;
-use graphmaze_core::engines::taskpar::galois;
-use graphmaze_core::engines::vertex::{giraph, graphlab, programs, Backend};
 use graphmaze_core::prelude::*;
+
+/// One bench per framework: the whole single-node cell through the same
+/// dispatch table the harness uses.
+fn bench_models(
+    c: &mut Criterion,
+    group: &str,
+    algorithm: Algorithm,
+    wl: &Workload,
+    samples: usize,
+) {
+    let params = BenchParams {
+        pr_iterations: 3,
+        ..BenchParams::default()
+    };
+    let mut group = c.benchmark_group(group);
+    group.sample_size(samples);
+    for fw in Framework::EXTENDED {
+        group.bench_function(fw.name(), |b| {
+            b.iter(|| run_output(algorithm, fw, wl, 1, &params).unwrap())
+        });
+    }
+    group.finish();
+}
 
 fn bench_pagerank_models(c: &mut Criterion) {
     let wl = Workload::rmat(11, 8, 7);
-    let g = wl.directed.as_ref().unwrap();
-    let mut group = c.benchmark_group("pagerank_models_real_time");
-    group.sample_size(15);
-    group.bench_with_input(BenchmarkId::new("native", 11), g, |b, g| {
-        b.iter(|| graphmaze_core::native::pagerank::pagerank(g, PAGERANK_R, 3, 1));
-    });
-    group.bench_with_input(BenchmarkId::new("vertex_graphlab", 11), g, |b, g| {
-        let backend = Backend::Bsp(graphlab::config());
-        b.iter(|| {
-            backend
-                .run(programs::pagerank_job(g, PAGERANK_R, 3), 1)
-                .unwrap()
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("vertex_giraph", 11), g, |b, g| {
-        let backend = Backend::Bsp(giraph::config(1));
-        b.iter(|| {
-            backend
-                .run(programs::pagerank_job(g, PAGERANK_R, 3), 1)
-                .unwrap()
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("spmv_combblas", 11), g, |b, g| {
-        b.iter(|| combblas::pagerank(g, PAGERANK_R, 3, 1).unwrap());
-    });
-    group.bench_with_input(BenchmarkId::new("datalog_socialite", 11), g, |b, g| {
-        b.iter(|| socialite::pagerank(g, PAGERANK_R, 3, 1, true).unwrap());
-    });
-    group.bench_with_input(BenchmarkId::new("taskpar_galois", 11), g, |b, g| {
-        b.iter(|| galois::pagerank(g, PAGERANK_R, 3, 1).unwrap());
-    });
-    group.finish();
+    bench_models(c, "pagerank_models_real_time", Algorithm::PageRank, &wl, 15);
 }
 
 fn bench_triangle_models(c: &mut Criterion) {
     let wl = Workload::rmat_triangle(10, 8, 7);
-    let g = wl.oriented.as_ref().unwrap();
-    let mut group = c.benchmark_group("triangle_models_real_time");
-    group.sample_size(12);
-    group.bench_function("native", |b| {
-        b.iter(|| graphmaze_core::native::triangle::triangles(g, 1))
-    });
-    group.bench_function("vertex_graphlab", |b| {
-        let backend = Backend::Bsp(graphlab::config());
-        b.iter(|| backend.run(programs::triangle_job(g), 1).unwrap())
-    });
-    group.bench_function("spmv_combblas", |b| {
-        b.iter(|| combblas::triangles(g, 1).unwrap())
-    });
-    group.bench_function("datalog_socialite", |b| {
-        b.iter(|| socialite::triangles(g, 1, true).unwrap())
-    });
-    group.bench_function("taskpar_galois", |b| {
-        b.iter(|| galois::triangles(g, 1).unwrap())
-    });
-    group.finish();
+    bench_models(
+        c,
+        "triangle_models_real_time",
+        Algorithm::TriangleCount,
+        &wl,
+        12,
+    );
 }
 
 fn bench_cluster_sim_overhead(c: &mut Criterion) {

@@ -10,7 +10,7 @@
 //! The paper's runs use up to 16 B edges on 64 physical nodes; the repro
 //! harness executes the same algorithms on scaled-down inputs and, for
 //! absolute numbers, applies the simulator's *work-scale extrapolation*
-//! (`GRAPHMAZE_WORK_SCALE`): every metered byte, flop, message and
+//! ([`with_work_scale`]): every metered byte, flop, message and
 //! allocation is multiplied by `paper_size / generated_size`, which is
 //! exact for per-edge-linear algorithms (PageRank, CF) and a documented
 //! approximation for BFS/TC. Ratios between frameworks — the paper's

@@ -15,8 +15,7 @@
 //! Like the work scale (see [`crate::work_scale`]), the active plan is
 //! communicated to [`Sim::new`] through a **thread-local** override
 //! ([`with_faults`]), so sweep cells running concurrently each see only
-//! their own plan. The `GRAPHMAZE_FAULTS` environment variable (same
-//! `--faults` grammar) provides a process-wide default.
+//! their own plan; a thread with no override runs fault-free.
 //!
 //! [`Sim::new`]: crate::Sim::new
 
@@ -736,16 +735,9 @@ thread_local! {
 }
 
 /// The fault plan in effect on this thread: the innermost [`with_faults`]
-/// override if any, else the `GRAPHMAZE_FAULTS` environment variable
-/// (ignored if unparsable), else [`FaultPlan::none`].
+/// override if any, else [`FaultPlan::none`].
 pub fn current_faults() -> FaultPlan {
-    match OVERRIDE.with(Cell::get) {
-        Some(p) => p,
-        None => std::env::var("GRAPHMAZE_FAULTS")
-            .ok()
-            .and_then(|s| FaultPlan::parse(&s).ok())
-            .unwrap_or_else(FaultPlan::none),
-    }
+    OVERRIDE.with(Cell::get).unwrap_or_else(FaultPlan::none)
 }
 
 /// Restores the previous thread-local plan when dropped — including

@@ -167,15 +167,14 @@ impl Sim {
     /// A fresh simulator for `cluster` running under `profile`.
     ///
     /// The **work scale** comes from [`crate::work_scale::current_work_scale`]:
-    /// the calling thread's `with_work_scale` override if any, else the
-    /// `GRAPHMAZE_WORK_SCALE` environment variable, else 1.0. Every
-    /// charged work item, message and allocation is multiplied by it,
+    /// the calling thread's `with_work_scale` override if any, else 1.0.
+    /// Every charged work item, message and allocation is multiplied by it,
     /// extrapolating a structurally identical graph `scale`× larger. The
     /// repro harness uses this to report paper-scale runtimes (and
     /// paper-scale OOM behaviour) from scaled-down inputs; see DESIGN.md §2.
     /// The **fault plan** likewise comes from
-    /// [`crate::faults::current_faults`] (thread-local override, else the
-    /// `GRAPHMAZE_FAULTS` environment variable, else no faults); see
+    /// [`crate::faults::current_faults`] (thread-local override, else no
+    /// faults); see
     /// `cluster::faults` for the model. With no active plan the
     /// simulation is bit-identical to one built before faults existed.
     pub fn new(cluster: ClusterSpec, profile: ExecProfile) -> Self {

@@ -2,12 +2,10 @@
 //!
 //! The work scale multiplies every metered work item, message and
 //! allocation, extrapolating a structurally identical graph `scale`×
-//! larger (see DESIGN.md §2). It used to be communicated to [`Sim::new`]
-//! via the `GRAPHMAZE_WORK_SCALE` environment variable alone, which is
-//! process-global and therefore racy once sweep cells run on a thread
-//! pool. The override here is **per-thread**: each sweep worker sets its
-//! own scale without observing its neighbours. The environment variable
-//! still works as a process-wide default when no override is active.
+//! larger (see DESIGN.md §2). It is communicated to [`Sim::new`] by a
+//! **per-thread** override: each sweep worker sets its own scale without
+//! observing its neighbours, and a thread with no override runs at 1.0
+//! whatever the process environment holds.
 //!
 //! [`Sim::new`]: crate::Sim::new
 
@@ -18,18 +16,9 @@ thread_local! {
 }
 
 /// The work scale in effect on this thread: the innermost
-/// [`with_work_scale`] override if any, else the `GRAPHMAZE_WORK_SCALE`
-/// environment variable, else 1.0. Values below 1.0 or non-finite are
-/// ignored.
+/// [`with_work_scale`] override if any, else 1.0.
 pub fn current_work_scale() -> f64 {
-    match OVERRIDE.with(Cell::get) {
-        Some(s) => s,
-        None => std::env::var("GRAPHMAZE_WORK_SCALE")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|&s| s.is_finite() && s >= 1.0)
-            .unwrap_or(1.0),
-    }
+    OVERRIDE.with(Cell::get).unwrap_or(1.0)
 }
 
 /// Restores the previous thread-local override when dropped — including

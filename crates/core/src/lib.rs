@@ -27,7 +27,6 @@
 //! ```
 
 pub mod cache;
-pub mod engine;
 pub mod flatjson;
 pub mod report;
 pub mod request;
@@ -43,9 +42,10 @@ pub use graphmaze_metrics as metrics;
 pub use graphmaze_native as native;
 
 pub use cache::{CacheStats, CachedOutcome, ResultCache};
-pub use engine::Engine;
 pub use request::{Provenance, RunRequest, RunResponse};
-pub use runner::{run_benchmark, Algorithm, BenchParams, Framework, RunOutcome};
+pub use runner::{
+    run_benchmark, run_output, Algorithm, BenchParams, Framework, Output, RunOutcome,
+};
 pub use sweep::{
     CellError, CellStatus, SilentObserver, Sweep, SweepCell, SweepEvent, SweepObserver,
     SweepOptions, SweepReport, WorkloadCache, WorkloadSpec, JOURNAL_SCHEMA_VERSION,
@@ -55,10 +55,11 @@ pub use workload::Workload;
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use crate::cache::{CacheStats, ResultCache};
-    pub use crate::engine::Engine;
     pub use crate::report::{format_table, geomean};
     pub use crate::request::{Provenance, RunRequest, RunResponse};
-    pub use crate::runner::{run_benchmark, Algorithm, BenchParams, Framework, RunOutcome};
+    pub use crate::runner::{
+        run_benchmark, run_output, Algorithm, BenchParams, Framework, Output, RunOutcome,
+    };
     pub use crate::sweep::{
         CellError, CellStatus, SilentObserver, Sweep, SweepCell, SweepEvent, SweepObserver,
         SweepOptions, SweepReport, WorkloadCache, WorkloadSpec,

@@ -1,13 +1,24 @@
 //! The benchmark runner: `algorithm × framework × workload × nodes →
-//! RunReport`, the crossbar behind every figure and table of the paper.
+//! (Output, RunReport)`, the crossbar behind every figure and table of
+//! the paper.
 //!
-//! Per-framework behaviour lives in the [`crate::engine::Engine`] impls;
-//! this module only selects the workload view (and BFS source) per
-//! algorithm and dispatches through [`Framework::engine`].
+//! The crossbar is spelled once, in [`run_output`]: a private `Input`
+//! resolves what the algorithm consumes (workload view, BFS source, msbfs
+//! source batch), then one algorithm-major `match` calls each framework's
+//! engine function directly. Which cells exist at all is
+//! [`Framework::supports`]; what a cell's answer digests to is
+//! [`Output::digest`]. DESIGN.md §7 says how to add a row or a column.
 
 use graphmaze_cluster::SimError;
+use graphmaze_engines::datalog::socialite;
+use graphmaze_engines::spmv::combblas;
+use graphmaze_engines::taskpar::galois;
+use graphmaze_engines::vertex::{giraph, graphlab, programs, Backend};
+use graphmaze_graph::csr::Csr;
+use graphmaze_graph::{DirectedGraph, RatingsGraph, UndirectedGraph};
 use graphmaze_metrics::RunReport;
 use graphmaze_native::cf::CfConfig;
+use graphmaze_native::{bfs, cf, msbfs, pagerank, triangle, NativeOptions, PAGERANK_R};
 
 use crate::workload::Workload;
 
@@ -135,6 +146,30 @@ impl Framework {
     pub fn multi_node(&self) -> bool {
         !matches!(self, Framework::Galois)
     }
+
+    /// Whether the framework has a port of `algorithm` — the capability
+    /// table behind the extended Table 5's "n/a" cells. [`run_output`]
+    /// refuses the rest with [`SimError::InvalidConfig`] instead of
+    /// fabricating a result.
+    pub fn supports(&self, algorithm: Algorithm) -> bool {
+        match algorithm {
+            Algorithm::PageRank
+            | Algorithm::Bfs
+            | Algorithm::TriangleCount
+            | Algorithm::CollaborativeFiltering => true,
+            // the word-level kernel does not fit every programming model:
+            // Datalog tables and task queues have no word-parallel
+            // equivalent (GraphMat's port is the lowered `OR_PASS` gather)
+            Algorithm::MsBfs => match self {
+                Framework::Native
+                | Framework::CombBlas
+                | Framework::GraphLab
+                | Framework::Giraph
+                | Framework::GraphMat => true,
+                Framework::SociaLite | Framework::SociaLiteUnopt | Framework::Galois => false,
+            },
+        }
+    }
 }
 
 /// Tunable benchmark parameters.
@@ -208,22 +243,255 @@ pub fn msbfs_sources(num_vertices: u32, count: u32, seed: u64) -> Vec<u32> {
     sources
 }
 
+/// What one run computed: the per-vertex (or scalar) answer of the
+/// algorithm, the same shape under every framework.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Output {
+    /// PageRank: one rank per vertex.
+    Ranks(Vec<f64>),
+    /// BFS: hop distance per vertex, `u32::MAX` when unreached.
+    Distances(Vec<u32>),
+    /// Triangle counting: the count.
+    Triangles(u64),
+    /// Collaborative filtering: training RMSE of the learned factors.
+    Rmse(f64),
+    /// Multi-source BFS: one distance row per source, in source order.
+    Rows(Vec<Vec<u32>>),
+}
+
+impl Output {
+    /// The result digest for cross-framework sanity checks: sum of ranks
+    /// (PageRank), sum of finite distances (BFS, and msbfs over all
+    /// rows), triangle count (TC), training RMSE (CF).
+    pub fn digest(&self) -> f64 {
+        fn finite_sum(dist: &[u32]) -> f64 {
+            dist.iter()
+                .filter(|&&d| d != u32::MAX)
+                .map(|&d| f64::from(d))
+                .sum()
+        }
+        match self {
+            Output::Ranks(ranks) => ranks.iter().sum(),
+            Output::Distances(dist) => finite_sum(dist),
+            Output::Triangles(count) => *count as f64,
+            Output::Rmse(rmse) => *rmse,
+            Output::Rows(rows) => rows.iter().map(|row| finite_sum(row)).sum(),
+        }
+    }
+}
+
 /// The outcome of one benchmark run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunOutcome {
     /// Simulated measurements.
     pub report: RunReport,
-    /// A result digest for cross-framework sanity checks: sum of ranks
-    /// (PageRank), sum of finite distances (BFS), triangle count (TC),
-    /// training RMSE (CF).
+    /// [`Output::digest`] of the run's answer.
     pub digest: f64,
 }
 
+/// What an algorithm consumes, resolved once from the workload and the
+/// parameters so every framework arm receives the same thing.
+enum Input<'w> {
+    PageRank(&'w DirectedGraph),
+    /// Symmetrized view and the validated source.
+    Bfs(&'w UndirectedGraph, u32),
+    TriangleCount(&'w Csr),
+    CollaborativeFiltering(&'w RatingsGraph),
+    /// Symmetrized view and the drawn source batch.
+    MsBfs(&'w UndirectedGraph, Vec<u32>),
+}
+
+impl<'w> Input<'w> {
+    fn resolve(
+        algorithm: Algorithm,
+        workload: &'w Workload,
+        params: &BenchParams,
+    ) -> Result<Self, SimError> {
+        Ok(match algorithm {
+            Algorithm::PageRank => Input::PageRank(workload.directed()?),
+            Algorithm::Bfs => {
+                let g = workload.undirected()?;
+                let n = g.num_vertices();
+                let source = match params.bfs_source {
+                    // highest-degree vertex: a seed the paper's Graph500-style
+                    // runs would accept (non-isolated, large reach)
+                    u32::MAX => (0..n as u32).max_by_key(|&v| g.adj.degree(v)).unwrap_or(0),
+                    v if (v as usize) < n => v,
+                    // settable from the serve socket; every engine indexes
+                    // its distance array with it
+                    v => {
+                        return Err(SimError::InvalidConfig(format!(
+                            "bfs_source {v} is not a vertex of a {n}-vertex graph"
+                        )))
+                    }
+                };
+                Input::Bfs(g, source)
+            }
+            Algorithm::TriangleCount => Input::TriangleCount(workload.oriented()?),
+            Algorithm::CollaborativeFiltering => Input::CollaborativeFiltering(workload.ratings()?),
+            Algorithm::MsBfs => {
+                let g = workload.undirected()?;
+                let sources = msbfs_sources(
+                    g.num_vertices() as u32,
+                    params.msbfs_sources,
+                    params.msbfs_seed,
+                );
+                Input::MsBfs(g, sources)
+            }
+        })
+    }
+}
+
+/// The executor behind a GAS framework: GraphLab, Giraph and GraphMat run
+/// the *same* `vertex::programs` job — on the BSP vertex engine under
+/// GraphLab's (sockets, combiners, hub replication) or Giraph's (Hadoop
+/// BSP, whole-superstep buffering) configuration, or lowered onto masked
+/// SpMSpV.
+fn backend(framework: Framework, algorithm: Algorithm, params: &BenchParams) -> Backend {
+    match framework {
+        Framework::GraphLab => Backend::Bsp(graphlab::config()),
+        // superstep splitting is the §6.1.3 fix for the two algorithms
+        // whose messages are whole vectors
+        Framework::Giraph => Backend::Bsp(giraph::config(match algorithm {
+            Algorithm::TriangleCount | Algorithm::CollaborativeFiltering => params.giraph_splits,
+            Algorithm::PageRank | Algorithm::Bfs | Algorithm::MsBfs => 1,
+        })),
+        Framework::GraphMat => Backend::GraphMat,
+        Framework::Native
+        | Framework::CombBlas
+        | Framework::SociaLite
+        | Framework::SociaLiteUnopt
+        | Framework::Galois => unreachable!("{} runs no GAS program", framework.name()),
+    }
+}
+
+/// Training RMSE of the factors `user(u)`, `item(v)` over the ratings, in
+/// user-major rating order.
+fn cf_rmse<'a>(
+    g: &RatingsGraph,
+    user: impl Fn(usize) -> &'a [f64],
+    item: impl Fn(usize) -> &'a [f64],
+) -> f64 {
+    let mut sse = 0.0;
+    for (u, v, r) in g.triples() {
+        let dot: f64 = user(u as usize)
+            .iter()
+            .zip(item(v as usize))
+            .map(|(x, y)| x * y)
+            .sum();
+        let e = f64::from(r) - dot;
+        sse += e * e;
+    }
+    (sse / g.num_ratings().max(1) as f64).sqrt()
+}
+
 /// Runs `algorithm` under `framework` on `workload` over `nodes`
-/// simulated nodes. Fails with [`SimError::InvalidConfig`] when the
-/// combination is impossible (Galois multi-node, missing graph view, a
-/// BFS source outside the graph) and propagates engine failures (e.g.
-/// out-of-memory).
+/// simulated nodes and returns the answer itself beside the report.
+/// Fails with [`SimError::InvalidConfig`] when the combination is
+/// impossible (no port — see [`Framework::supports`] — Galois multi-node,
+/// missing graph view, a BFS source outside the graph) and propagates
+/// engine failures (e.g. out-of-memory).
+pub fn run_output(
+    algorithm: Algorithm,
+    framework: Framework,
+    workload: &Workload,
+    nodes: usize,
+    params: &BenchParams,
+) -> Result<(Output, RunReport), SimError> {
+    use Framework::*;
+    if !framework.supports(algorithm) {
+        return Err(SimError::InvalidConfig(format!(
+            "{} has no {} port",
+            framework.name(),
+            algorithm.name()
+        )));
+    }
+    let opts = NativeOptions::all();
+    let gas = || backend(framework, algorithm, params);
+    // SociaLite's post-§6.1.3 network stack (Table 7 "After") vs the
+    // original one
+    let optimized = framework == SociaLite;
+    Ok(match Input::resolve(algorithm, workload, params)? {
+        Input::PageRank(g) => {
+            let iters = params.pr_iterations;
+            let (ranks, report) = match framework {
+                Native => pagerank::pagerank_cluster(g, PAGERANK_R, iters, opts, nodes),
+                CombBlas => combblas::pagerank(g, PAGERANK_R, iters, nodes),
+                GraphLab | Giraph | GraphMat => {
+                    gas().run(programs::pagerank_job(g, PAGERANK_R, iters), nodes)
+                }
+                SociaLite | SociaLiteUnopt => {
+                    socialite::pagerank(g, PAGERANK_R, iters, nodes, optimized)
+                }
+                Galois => galois::pagerank(g, PAGERANK_R, iters, nodes),
+            }?;
+            (Output::Ranks(ranks), report)
+        }
+        Input::Bfs(g, source) => {
+            let (dist, report) = match framework {
+                Native => bfs::bfs_cluster(g, source, opts, nodes),
+                CombBlas => combblas::bfs(g, source, nodes),
+                GraphLab | Giraph | GraphMat => gas().run(programs::bfs_job(g, source), nodes),
+                SociaLite | SociaLiteUnopt => socialite::bfs(g, source, nodes, optimized),
+                Galois => galois::bfs(g, source, nodes),
+            }?;
+            (Output::Distances(dist), report)
+        }
+        Input::TriangleCount(g) => {
+            let (count, report) = match framework {
+                Native => triangle::triangles_cluster(g, opts, nodes),
+                CombBlas => combblas::triangles(g, nodes),
+                GraphLab | Giraph | GraphMat => gas().run(programs::triangle_job(g), nodes),
+                SociaLite | SociaLiteUnopt => socialite::triangles(g, nodes, optimized),
+                Galois => galois::triangles(g, nodes),
+            }?;
+            (Output::Triangles(count), report)
+        }
+        Input::CollaborativeFiltering(g) => {
+            let CfConfig {
+                k, lambda, gamma0, ..
+            } = params.cf;
+            let iters = params.cf_iterations;
+            let nu = g.num_users() as usize;
+            // the SGD ports report their own per-epoch training RMSE
+            let sgd = |(_, hist, report): (cf::Factors, Vec<f64>, RunReport)| {
+                (*hist.last().unwrap_or(&f64::NAN), report)
+            };
+            // the GD ports return flat row-major P and Q
+            let gd = |(p, q, report): (Vec<f64>, Vec<f64>, RunReport)| {
+                let rmse = cf_rmse(g, |u| &p[u * k..(u + 1) * k], |v| &q[v * k..(v + 1) * k]);
+                (rmse, report)
+            };
+            let (rmse, report) = match framework {
+                Native => cf::sgd_cluster(g, &params.cf, iters, opts, nodes).map(sgd),
+                CombBlas => combblas::cf_gd(g, k, lambda, gamma0, iters, nodes).map(gd),
+                // one factor row per vertex, users first
+                GraphLab | Giraph | GraphMat => gas()
+                    .run(programs::cf_gd_job(g, k, lambda, gamma0, iters), nodes)
+                    .map(|(rows, report)| (cf_rmse(g, |u| &rows[u], |v| &rows[nu + v]), report)),
+                SociaLite | SociaLiteUnopt => {
+                    socialite::cf_gd(g, k, lambda, gamma0, iters, nodes, optimized).map(gd)
+                }
+                Galois => galois::cf_sgd(g, &params.cf, iters, nodes).map(sgd),
+            }?;
+            (Output::Rmse(rmse), report)
+        }
+        Input::MsBfs(g, sources) => {
+            let (rows, report) = match framework {
+                Native => msbfs::msbfs_cluster(g, &sources, opts, nodes),
+                CombBlas => combblas::msbfs(g, &sources, nodes),
+                GraphLab | Giraph | GraphMat => gas().run(programs::msbfs_job(g, &sources), nodes),
+                SociaLite | SociaLiteUnopt | Galois => {
+                    unreachable!("refused by Framework::supports above")
+                }
+            }?;
+            (Output::Rows(rows), report)
+        }
+    })
+}
+
+/// [`run_output`] reduced to its digest: the `(digest, RunReport)` pair
+/// sweeps, the journal and the serving layer carry.
 pub fn run_benchmark(
     algorithm: Algorithm,
     framework: Framework,
@@ -231,40 +499,11 @@ pub fn run_benchmark(
     nodes: usize,
     params: &BenchParams,
 ) -> Result<RunOutcome, SimError> {
-    let engine = framework.engine();
-    let (digest, report) = match algorithm {
-        Algorithm::PageRank => engine.pagerank(workload.directed()?, nodes, params)?,
-        Algorithm::Bfs => {
-            let g = workload.undirected()?;
-            let n = g.num_vertices();
-            let src = match params.bfs_source {
-                // highest-degree vertex: a seed the paper's Graph500-style
-                // runs would accept (non-isolated, large reach)
-                u32::MAX => (0..n as u32).max_by_key(|&v| g.adj.degree(v)).unwrap_or(0),
-                v if (v as usize) < n => v,
-                // settable from the serve socket; every engine indexes
-                // its distance array with it
-                v => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "bfs_source {v} is not a vertex of a {n}-vertex graph"
-                    )))
-                }
-            };
-            engine.bfs(g, src, nodes, params)?
-        }
-        Algorithm::TriangleCount => engine.triangles(workload.oriented()?, nodes, params)?,
-        Algorithm::CollaborativeFiltering => engine.cf(workload.ratings()?, nodes, params)?,
-        Algorithm::MsBfs => {
-            let g = workload.undirected()?;
-            let sources = msbfs_sources(
-                g.num_vertices() as u32,
-                params.msbfs_sources,
-                params.msbfs_seed,
-            );
-            engine.msbfs(g, &sources, nodes, params)?
-        }
-    };
-    Ok(RunOutcome { digest, report })
+    let (output, report) = run_output(algorithm, framework, workload, nodes, params)?;
+    Ok(RunOutcome {
+        digest: output.digest(),
+        report,
+    })
 }
 
 #[cfg(test)]
@@ -296,6 +535,21 @@ mod tests {
                 "{fw:?} cannot beat native"
             );
         }
+    }
+
+    #[test]
+    fn socialite_variants_differ_only_in_network_stack() {
+        let wl = Workload::rmat(8, 6, 5);
+        let params = BenchParams::default();
+        let run = |fw| run_benchmark(Algorithm::PageRank, fw, &wl, 2, &params).unwrap();
+        let (opt, unopt) = (run(Framework::SociaLite), run(Framework::SociaLiteUnopt));
+        assert_eq!(opt.digest, unopt.digest, "same answer either way");
+        assert!(
+            unopt.report.sim_seconds > opt.report.sim_seconds,
+            "unoptimized network must be slower: {} vs {}",
+            unopt.report.sim_seconds,
+            opt.report.sim_seconds
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use graphmaze_cluster::{Partition1D, SimError};
 use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{RatingsGraph, VertexId};
+use graphmaze_graph::{intersect_count, RatingsGraph, VertexId};
 use graphmaze_metrics::{RunReport, Work};
 
 use super::eval::{Agg, SocialiteRuntime};
@@ -184,18 +184,7 @@ pub fn triangles(
             for &y in nx {
                 let ny = edge.neighbors(y);
                 stream += (nx.len() + ny.len()) as u64 * 4;
-                let (mut i, mut j) = (0, 0);
-                while i < nx.len() && j < ny.len() {
-                    match nx[i].cmp(&ny[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            local += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
+                local += intersect_count(nx, ny);
             }
         }
         count += local;

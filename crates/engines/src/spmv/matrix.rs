@@ -8,7 +8,7 @@
 
 use graphmaze_cluster::{Partition2D, Router, Sim, SimError};
 use graphmaze_graph::csr::Csr;
-use graphmaze_graph::VertexId;
+use graphmaze_graph::{intersect_count, VertexId};
 use graphmaze_metrics::Work;
 
 use super::semiring::Semiring;
@@ -283,18 +283,7 @@ impl<'a> DistMatrix<'a> {
                 // A²_ij restricted to the mask = |N(i) ∩ N(j)|
                 let nj = self.csr.neighbors(j);
                 per_block_stream[self.grid.owner(i, j)] += (ni.len() + nj.len()) as u64 * 4;
-                let (mut a, mut b) = (0, 0);
-                while a < ni.len() && b < nj.len() {
-                    match ni[a].cmp(&nj[b]) {
-                        std::cmp::Ordering::Less => a += 1,
-                        std::cmp::Ordering::Greater => b += 1,
-                        std::cmp::Ordering::Equal => {
-                            masked_sum += 1;
-                            a += 1;
-                            b += 1;
-                        }
-                    }
-                }
+                masked_sum += intersect_count(ni, nj);
             }
         }
         let mut router = Router::new(sim.nodes(), sim.profile());

@@ -3,7 +3,7 @@
 
 use graphmaze_cluster::{ClusterSpec, ExecProfile, Sim, SimError};
 use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{RatingsGraph, VertexId};
+use graphmaze_graph::{intersect_count, RatingsGraph, VertexId};
 use graphmaze_metrics::{RunReport, Work};
 use graphmaze_native::cf::{self, CfConfig, DiagonalBlocks, Factors};
 
@@ -138,19 +138,7 @@ pub fn triangles(oriented: &Csr, nodes: usize) -> Result<(u64, RunReport), SimEr
         |u, acc| {
             let s1 = oriented.neighbors(u as VertexId);
             for &m in s1 {
-                let s2 = oriented.neighbors(m);
-                let (mut i, mut j) = (0, 0);
-                while i < s1.len() && j < s2.len() {
-                    match s1[i].cmp(&s2[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            *acc += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
+                *acc += intersect_count(s1, oriented.neighbors(m));
             }
         },
         |a, b| a + b,

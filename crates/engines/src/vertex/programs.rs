@@ -14,7 +14,7 @@
 use std::borrow::Cow;
 
 use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{RatingsGraph, VertexId};
+use graphmaze_graph::{intersect_count, RatingsGraph, VertexId};
 
 use super::engine::VertexGraphView;
 use super::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
@@ -344,18 +344,7 @@ impl GasProgram for TriangleProgram {
             // sorted-merge intersection of each received list with N+(v)
             let own = g.neighbors(v);
             for list in gathered.all() {
-                let (mut i, mut j) = (0, 0);
-                while i < own.len() && j < list.len() {
-                    match own[i].cmp(&list[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            *value += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
+                *value += intersect_count(own, list);
             }
             None
         }

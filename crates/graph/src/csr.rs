@@ -157,6 +157,27 @@ impl Csr {
     }
 }
 
+/// Counts the common elements of two ascending-sorted adjacency lists by
+/// a linear merge — the set intersection triangle counting runs once per
+/// oriented edge (paper §3.2), shared by the native kernel and every
+/// engine so the kernel choice is a one-site change.
+#[inline]
+pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
+    let (mut i, mut j, mut count) = (0, 0, 0u64);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                count += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    count
+}
+
 /// A CSR with a parallel weight per target (for ratings graphs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeightedCsr {
@@ -379,6 +400,14 @@ mod tests {
         assert!(g.neighbors_sorted());
         assert!(g.has_edge_sorted(0, 2));
         assert!(!g.has_edge_sorted(0, 0));
+    }
+
+    #[test]
+    fn intersect_count_merges_sorted_lists() {
+        assert_eq!(intersect_count(&[], &[1, 2]), 0);
+        assert_eq!(intersect_count(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), 2);
+        assert_eq!(intersect_count(&[4, 8], &[4, 8]), 2);
+        assert_eq!(intersect_count(&[1, 2], &[3, 4]), 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod transform;
 pub use bipartite::RatingsGraph;
 pub use bitvec::{AtomicBitVec, BitVec};
 pub use cc::{connected_components, ComponentStats, UnionFind};
-pub use csr::{Csr, DirectedGraph, UndirectedGraph};
+pub use csr::{intersect_count, Csr, DirectedGraph, UndirectedGraph};
 pub use degree::DegreeStats;
 pub use edgelist::{EdgeList, WeightedEdgeList};
 pub use frontier::Frontier;

@@ -1,7 +1,7 @@
 //! Minimal scoped-thread parallelism helpers.
 //!
 //! The paper's native code uses OpenMP within a node (§4.3). We mirror that
-//! with crossbeam scoped threads over contiguous index chunks: static
+//! with `std::thread::scope` threads over contiguous index chunks: static
 //! scheduling for regular loops ([`par_for_chunks`]), and a chunk-grained
 //! dynamic scheduler for skewed work ([`par_for_dynamic`]) since power-law
 //! degree distributions make static splits imbalanced.
@@ -39,17 +39,16 @@ where
         return;
     }
     let chunk = len.div_ceil(threads);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..threads {
             let f = &f;
             let lo = t * chunk;
             let hi = ((t + 1) * chunk).min(len);
             if lo < hi {
-                s.spawn(move |_| f(t, lo..hi));
+                s.spawn(move || f(t, lo..hi));
             }
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// Dynamic (work-stealing-ish) parallel for: workers repeatedly claim
@@ -69,11 +68,11 @@ where
         return;
     }
     let cursor = AtomicUsize::new(0);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
             let f = &f;
             let cursor = &cursor;
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let lo = cursor.fetch_add(grain, Ordering::Relaxed);
                 if lo >= len {
                     break;
@@ -81,8 +80,7 @@ where
                 f(lo..(lo + grain).min(len));
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// Parallel map-reduce over `0..len`: each worker folds its chunk with
@@ -103,7 +101,7 @@ where
         return (0..len).fold(init(), &fold);
     }
     let chunk = len.div_ceil(threads);
-    let partials: Vec<T> = crossbeam::scope(|s| {
+    let partials: Vec<T> = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let init = &init;
@@ -111,15 +109,14 @@ where
             let lo = t * chunk;
             let hi = ((t + 1) * chunk).min(len);
             if lo < hi {
-                handles.push(s.spawn(move |_| (lo..hi).fold(init(), fold)));
+                handles.push(s.spawn(move || (lo..hi).fold(init(), fold)));
             }
         }
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("worker thread panicked");
+    });
     let mut iter = partials.into_iter();
     let first = iter.next().expect("at least one partial");
     iter.fold(first, combine)
@@ -135,11 +132,11 @@ where
     if threads <= 1 {
         return (0..threads).map(&f).collect();
     }
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let f = &f;
-                s.spawn(move |_| f(t))
+                s.spawn(move || f(t))
             })
             .collect();
         handles
@@ -147,7 +144,6 @@ where
             .map(|h| h.join().expect("worker panicked"))
             .collect()
     })
-    .expect("worker thread panicked")
 }
 
 #[cfg(test)]
@@ -201,6 +197,24 @@ mod tests {
         par_for_chunks(0, 4, |_, _| panic!("must not run"));
         par_for_dynamic(0, 4, 8, |_| panic!("must not run"));
         assert_eq!(par_reduce(0, 4, || 7u32, |a, _| a, |a, _| a), 7);
+    }
+
+    #[test]
+    fn a_panicking_worker_panics_the_caller() {
+        // the sweep's per-cell catch_unwind relies on this: a worker's
+        // panic must surface on the calling thread, joined or not
+        let caught = |f: fn()| std::panic::catch_unwind(f).is_err();
+        assert!(caught(|| par_for_chunks(8, 4, |t, _| assert_ne!(t, 2))));
+        assert!(caught(|| par_for_dynamic(8, 4, 1, |r| assert_ne!(
+            r.start,
+            5
+        ))));
+        assert!(caught(|| {
+            par_reduce(8, 4, || 0, |acc, i| acc + 8 / (7 - i), |a, b| a + b);
+        }));
+        assert!(caught(|| {
+            par_tasks(4, |t| assert_ne!(t, 3));
+        }));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use graphmaze_cluster::compress::encode_best;
 use graphmaze_cluster::{ClusterSpec, Partition1D, Router, Sim, SimError};
 use graphmaze_graph::csr::Csr;
 use graphmaze_graph::par::par_reduce;
-use graphmaze_graph::{BitVec, EdgeList, VertexId};
+use graphmaze_graph::{intersect_count, BitVec, EdgeList, VertexId};
 use graphmaze_metrics::{RunReport, Work};
 
 use crate::common::{edge_stream_work, NativeOptions};
@@ -68,31 +68,13 @@ pub fn triangles_with(g: &Csr, threads: usize, use_bitvector: bool) -> u64 {
                 }
             } else {
                 for &v in nu {
-                    local += merge_intersect_count(nu, g.neighbors(v));
+                    local += intersect_count(nu, g.neighbors(v));
                 }
             }
             acc + local
         },
         |a, b| a + b,
     )
-}
-
-/// Counts common elements of two sorted slices.
-#[inline]
-fn merge_intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j, mut count) = (0, 0, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 /// Brute-force triangle count over all vertex triples — the O(n³) oracle
@@ -230,7 +212,7 @@ pub fn triangles_cluster(
                 for &v in nu {
                     let nv = g.neighbors(v);
                     stream_edges += (nu.len() + nv.len()) as u64;
-                    count += merge_intersect_count(nu, nv);
+                    count += intersect_count(nu, nv);
                 }
             }
         }

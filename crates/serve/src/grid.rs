@@ -47,28 +47,17 @@ pub fn spec_for(algorithm: Algorithm, scale: u32, seed: u64) -> WorkloadSpec {
     }
 }
 
-/// The frameworks with a bit-parallel multi-source BFS port (SociaLite's
-/// Datalog model has none — those cells are "n/a" in the extended
-/// Table 5, so the grid omits them rather than serving guaranteed
-/// failures).
-pub const MSBFS_FRAMEWORKS: [Framework; 5] = [
-    Framework::Native,
-    Framework::CombBlas,
-    Framework::GraphLab,
-    Framework::Giraph,
-    Framework::GraphMat,
-];
-
 /// Builds the 29-cell default grid at `scale` on `nodes` simulated
 /// nodes, with the harness's standard parameters: the paper's 4
 /// algorithms × the 6 serving frameworks, plus `msbfs` × its 5 ported
-/// frameworks. Order is deterministic — algorithm-major, paper
-/// framework order — so Zipf rank 0 is always `pagerank × native`.
+/// frameworks ([`Framework::supports`]: SociaLite's Datalog model has
+/// none — that cell is "n/a" in the extended Table 5, so the grid omits
+/// it rather than serving a guaranteed failure). Order is deterministic —
+/// algorithm-major, paper framework order — so Zipf rank 0 is always
+/// `pagerank × native`.
 pub fn default_grid(scale: u32, seed: u64, nodes: usize) -> Vec<RunRequest> {
     let params = graphmaze_bench::standard_params();
-    let mut grid = Vec::with_capacity(
-        Algorithm::ALL.len() * SERVING_FRAMEWORKS.len() + MSBFS_FRAMEWORKS.len(),
-    );
+    let mut grid = Vec::new();
     let cell = |algorithm: Algorithm, framework: Framework| {
         RunRequest::new(
             "serve",
@@ -84,13 +73,12 @@ pub fn default_grid(scale: u32, seed: u64, nodes: usize) -> Vec<RunRequest> {
             },
         )
     };
-    for algorithm in Algorithm::ALL {
+    for algorithm in Algorithm::EXTENDED {
         for framework in SERVING_FRAMEWORKS {
-            grid.push(cell(algorithm, framework));
+            if framework.supports(algorithm) {
+                grid.push(cell(algorithm, framework));
+            }
         }
-    }
-    for framework in MSBFS_FRAMEWORKS {
-        grid.push(cell(Algorithm::MsBfs, framework));
     }
     grid
 }
@@ -112,7 +100,7 @@ mod tests {
             .iter()
             .filter(|r| r.cell.algorithm == Algorithm::MsBfs)
             .collect();
-        assert_eq!(msbfs.len(), MSBFS_FRAMEWORKS.len());
+        assert_eq!(msbfs.len(), 5);
         assert!(msbfs
             .iter()
             .all(|r| r.cell.framework != Framework::SociaLite));

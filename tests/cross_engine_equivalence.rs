@@ -8,17 +8,13 @@
 //! `algorithm × framework` cell checked against the native golden digest
 //! on two graph scales. When a per-vertex algorithm diverges, the
 //! failure message names the *first diverging vertex* with both values,
-//! computed by re-running the concrete engine functions — not just "the
+//! read from the per-vertex [`Output`] of `run_output` — not just "the
 //! digests differ".
 
+use graphmaze_core::datagen::rmat;
+use graphmaze_core::native::bfs::validate_distances;
+use graphmaze_core::native::triangle::triangles_brute_force;
 use graphmaze_core::prelude::*;
-use graphmaze_engines::datalog::socialite;
-use graphmaze_engines::spmv::combblas;
-use graphmaze_engines::taskpar::galois;
-use graphmaze_engines::vertex::programs::{bfs_job, msbfs_job, pagerank_job};
-use graphmaze_engines::vertex::{giraph, graphlab, Backend};
-use graphmaze_graph::{DirectedGraph, RatingsGraph, UndirectedGraph};
-use graphmaze_native::{NativeOptions, PAGERANK_R};
 
 const MULTI_NODE_FRAMEWORKS: [Framework; 6] = [
     Framework::CombBlas,
@@ -26,6 +22,18 @@ const MULTI_NODE_FRAMEWORKS: [Framework; 6] = [
     Framework::SociaLite,
     Framework::SociaLiteUnopt,
     Framework::Giraph,
+    Framework::GraphMat,
+];
+
+/// Every `Framework` variant, Table 7's unoptimized SociaLite included.
+const ALL_FRAMEWORKS: [Framework; 8] = [
+    Framework::Native,
+    Framework::CombBlas,
+    Framework::GraphLab,
+    Framework::SociaLite,
+    Framework::SociaLiteUnopt,
+    Framework::Giraph,
+    Framework::Galois,
     Framework::GraphMat,
 ];
 
@@ -148,71 +156,21 @@ fn cf_training_error_drops_under_every_engine() {
 /// reorder the same additions, nothing more.
 const REL_TOL: f64 = 1e-9;
 
-/// The per-vertex PageRank vector from each framework's concrete engine
-/// function (the same call the [`Engine`] impls make), for divergence
-/// reporting.
-fn pagerank_vector(
-    fw: Framework,
-    g: &DirectedGraph,
-    nodes: usize,
-    params: &BenchParams,
-) -> Vec<f64> {
-    let iters = params.pr_iterations;
-    let gas = |backend: Backend| {
-        backend
-            .run(pagerank_job(g, PAGERANK_R, iters), nodes)
-            .map(|(r, _)| r)
-    };
-    let ranks = match fw {
-        Framework::Native => graphmaze_native::pagerank::pagerank_cluster(
-            g,
-            PAGERANK_R,
-            iters,
-            NativeOptions::all(),
-            nodes,
-        )
-        .map(|(r, _)| r),
-        Framework::CombBlas => combblas::pagerank(g, PAGERANK_R, iters, nodes).map(|(r, _)| r),
-        Framework::GraphLab => gas(Backend::Bsp(graphlab::config())),
-        Framework::SociaLite => {
-            socialite::pagerank(g, PAGERANK_R, iters, nodes, true).map(|(r, _)| r)
-        }
-        Framework::SociaLiteUnopt => {
-            socialite::pagerank(g, PAGERANK_R, iters, nodes, false).map(|(r, _)| r)
-        }
-        Framework::Giraph => gas(Backend::Bsp(giraph::config(1))),
-        Framework::Galois => galois::pagerank(g, PAGERANK_R, iters, nodes).map(|(r, _)| r),
-        Framework::GraphMat => gas(Backend::GraphMat),
-    };
-    ranks.unwrap_or_else(|e| panic!("{fw:?} pagerank vector: {e}"))
+/// The per-vertex PageRank vector of one cell, for divergence reporting.
+fn pagerank_vector(fw: Framework, wl: &Workload, nodes: usize, params: &BenchParams) -> Vec<f64> {
+    match run_output(Algorithm::PageRank, fw, wl, nodes, params) {
+        Ok((Output::Ranks(ranks), _)) => ranks,
+        other => panic!("{fw:?} pagerank vector: {other:?}"),
+    }
 }
 
-/// The per-vertex BFS distance vector from each framework's concrete
-/// engine function.
-fn bfs_vector(fw: Framework, g: &UndirectedGraph, source: u32, nodes: usize) -> Vec<u32> {
-    let gas = |backend: Backend| backend.run(bfs_job(g, source), nodes).map(|(d, _)| d);
-    let dist = match fw {
-        Framework::Native => {
-            graphmaze_native::bfs::bfs_cluster(g, source, NativeOptions::all(), nodes)
-                .map(|(d, _)| d)
-        }
-        Framework::CombBlas => combblas::bfs(g, source, nodes).map(|(d, _)| d),
-        Framework::GraphLab => gas(Backend::Bsp(graphlab::config())),
-        Framework::SociaLite => socialite::bfs(g, source, nodes, true).map(|(d, _)| d),
-        Framework::SociaLiteUnopt => socialite::bfs(g, source, nodes, false).map(|(d, _)| d),
-        Framework::Giraph => gas(Backend::Bsp(giraph::config(1))),
-        Framework::Galois => galois::bfs(g, source, nodes).map(|(d, _)| d),
-        Framework::GraphMat => gas(Backend::GraphMat),
-    };
-    dist.unwrap_or_else(|e| panic!("{fw:?} bfs vector: {e}"))
-}
-
-/// The BFS source `run_benchmark` picks for `bfs_source == u32::MAX`:
-/// the highest-degree vertex.
-fn default_bfs_source(g: &UndirectedGraph) -> u32 {
-    (0..g.num_vertices() as u32)
-        .max_by_key(|&v| g.adj.degree(v))
-        .unwrap_or(0)
+/// The per-vertex BFS distance vector of one cell (from the source
+/// `params` selects — by default the highest-degree vertex).
+fn bfs_vector(fw: Framework, wl: &Workload, nodes: usize, params: &BenchParams) -> Vec<u32> {
+    match run_output(Algorithm::Bfs, fw, wl, nodes, params) {
+        Ok((Output::Distances(dist), _)) => dist,
+        other => panic!("{fw:?} bfs vector: {other:?}"),
+    }
 }
 
 /// First index where `got` diverges from `reference` beyond `rel_tol`,
@@ -255,9 +213,9 @@ fn first_divergence_u32(reference: &[u32], got: &[u32]) -> Option<(usize, u32, u
 
 /// Readable one-line diff for a PageRank divergence: which vertex first
 /// disagrees, both values, and how far in the vectors still agreed.
-fn pagerank_diff(fw: Framework, g: &DirectedGraph, nodes: usize, params: &BenchParams) -> String {
-    let reference = pagerank_vector(Framework::Native, g, 1, params);
-    let got = pagerank_vector(fw, g, nodes, params);
+fn pagerank_diff(fw: Framework, wl: &Workload, nodes: usize, params: &BenchParams) -> String {
+    let reference = pagerank_vector(Framework::Native, wl, 1, params);
+    let got = pagerank_vector(fw, wl, nodes, params);
     match first_divergence_f64(&reference, &got, REL_TOL) {
         Some((v, want, have)) => format!(
             "first diverging vertex: v={v} — native {want:.17e} vs {} {have:.17e} \
@@ -270,9 +228,9 @@ fn pagerank_diff(fw: Framework, g: &DirectedGraph, nodes: usize, params: &BenchP
 }
 
 /// Readable one-line diff for a BFS divergence.
-fn bfs_diff(fw: Framework, g: &UndirectedGraph, source: u32, nodes: usize) -> String {
-    let reference = bfs_vector(Framework::Native, g, source, 1);
-    let got = bfs_vector(fw, g, source, nodes);
+fn bfs_diff(fw: Framework, wl: &Workload, nodes: usize, params: &BenchParams) -> String {
+    let reference = bfs_vector(Framework::Native, wl, 1, params);
+    let got = bfs_vector(fw, wl, nodes, params);
     match first_divergence_u32(&reference, &got) {
         Some((v, want, have)) => {
             let show = |d: u32| {
@@ -339,18 +297,17 @@ fn conformance_matrix_covers_every_algorithm_and_framework_on_two_scales() {
                             wl.name,
                             out.digest,
                             golden.digest,
-                            pagerank_diff(fw, graph.directed().unwrap(), nodes, &params),
+                            pagerank_diff(fw, &graph, nodes, &params),
                         );
                     }
                     Algorithm::Bfs => {
-                        let g = graph.undirected().unwrap();
                         assert!(
                             out.digest == golden.digest,
                             "{fw:?} bfs on {} x{nodes}: digest {} vs native {}\n{}",
                             wl.name,
                             out.digest,
                             golden.digest,
-                            bfs_diff(fw, g, default_bfs_source(g), nodes),
+                            bfs_diff(fw, &graph, nodes, &params),
                         );
                     }
                     Algorithm::TriangleCount => {
@@ -381,38 +338,34 @@ fn conformance_matrix_covers_every_algorithm_and_framework_on_two_scales() {
     }
 }
 
-/// The per-source distance rows from each framework's concrete
-/// multi-source BFS port. Only five frameworks have one (SociaLite's
-/// Datalog model and Galois' task queues have no word-parallel
-/// equivalent — their Engine impls return `InvalidConfig`). GraphMat's
-/// port is not hand-written: the word-wise OR gather lowers onto the
-/// `OR_PASS` algebra automatically.
+/// The per-source distance rows of one msbfs cell. Only five frameworks
+/// have a port (SociaLite's Datalog model and Galois' task queues have
+/// no word-parallel equivalent — `Framework::supports` says so and
+/// `run_output` returns `InvalidConfig`). GraphMat's port is not
+/// hand-written: the word-wise OR gather lowers onto the `OR_PASS`
+/// algebra automatically.
 fn msbfs_rows_for(
     fw: Framework,
-    g: &UndirectedGraph,
-    sources: &[u32],
+    wl: &Workload,
     nodes: usize,
+    params: &BenchParams,
 ) -> Vec<Vec<u32>> {
-    let gas = |backend: Backend| backend.run(msbfs_job(g, sources), nodes).map(|(r, _)| r);
-    let rows = match fw {
-        Framework::Native => {
-            graphmaze_native::msbfs::msbfs_cluster(g, sources, NativeOptions::all(), nodes)
-                .map(|(r, _)| r)
-        }
-        Framework::CombBlas => combblas::msbfs(g, sources, nodes).map(|(r, _)| r),
-        Framework::GraphLab => gas(Backend::Bsp(graphlab::config())),
-        Framework::Giraph => gas(Backend::Bsp(giraph::config(1))),
-        Framework::GraphMat => gas(Backend::GraphMat),
-        _ => panic!("{fw:?} has no msbfs port"),
-    };
-    rows.unwrap_or_else(|e| panic!("{fw:?} msbfs rows: {e}"))
+    match run_output(Algorithm::MsBfs, fw, wl, nodes, params) {
+        Ok((Output::Rows(rows), _)) => rows,
+        other => panic!("{fw:?} msbfs rows: {other:?}"),
+    }
 }
 
 /// Readable one-line diff for an msbfs divergence: which (source, vertex)
 /// cell first disagrees, with both distances.
-fn msbfs_diff(fw: Framework, g: &UndirectedGraph, sources: &[u32], nodes: usize) -> String {
-    let reference = msbfs_rows_for(Framework::Native, g, sources, 1);
-    let got = msbfs_rows_for(fw, g, sources, nodes);
+fn msbfs_diff(fw: Framework, wl: &Workload, nodes: usize, params: &BenchParams) -> String {
+    let sources = graphmaze_core::runner::msbfs_sources(
+        wl.undirected().unwrap().num_vertices() as u32,
+        params.msbfs_sources,
+        params.msbfs_seed,
+    );
+    let reference = msbfs_rows_for(Framework::Native, wl, 1, params);
+    let got = msbfs_rows_for(fw, wl, nodes, params);
     if reference.len() != got.len() {
         return format!(
             "row count mismatch: native {} rows vs {} {} rows",
@@ -461,12 +414,6 @@ fn msbfs_conformance_cells_match_native_on_two_scales() {
     ];
     for scale in [8u32, 10] {
         let wl = Workload::rmat(scale, 8, 200 + u64::from(scale));
-        let g = wl.undirected().unwrap();
-        let sources = graphmaze_core::runner::msbfs_sources(
-            g.num_vertices() as u32,
-            params.msbfs_sources,
-            params.msbfs_seed,
-        );
         let golden = run_benchmark(Algorithm::MsBfs, Framework::Native, &wl, 1, &params)
             .unwrap_or_else(|e| panic!("native msbfs golden on {}: {e}", wl.name));
         let mut cells = 0usize;
@@ -480,7 +427,7 @@ fn msbfs_conformance_cells_match_native_on_two_scales() {
                     wl.name,
                     out.digest,
                     golden.digest,
-                    msbfs_diff(fw, g, &sources, nodes),
+                    msbfs_diff(fw, &wl, nodes, &params),
                 );
                 cells += 1;
             }
@@ -499,6 +446,84 @@ fn msbfs_conformance_cells_match_native_on_two_scales() {
     }
 }
 
+/// The dispatch table's shape: a cell runs exactly when the framework
+/// has a port of the algorithm ([`Framework::supports`]) and the node
+/// count fits it ([`Framework::multi_node`]); every other cell is a
+/// typed `InvalidConfig`, never a panic or a fabricated answer.
+#[test]
+fn a_cell_runs_exactly_when_the_framework_supports_it() {
+    let params = BenchParams::default();
+    let graph = Workload::rmat(7, 8, 220);
+    let ratings = Workload::rmat_ratings(7, 16, 221);
+    for fw in ALL_FRAMEWORKS {
+        for alg in Algorithm::EXTENDED {
+            let wl = if alg == Algorithm::CollaborativeFiltering {
+                &ratings
+            } else {
+                &graph
+            };
+            for nodes in [1usize, 2] {
+                let runnable = fw.supports(alg) && (nodes == 1 || fw.multi_node());
+                match run_output(alg, fw, wl, nodes, &params) {
+                    Ok(_) => assert!(runnable, "{fw:?}/{alg:?} x{nodes} ran"),
+                    Err(SimError::InvalidConfig(why)) => {
+                        assert!(!runnable, "{fw:?}/{alg:?} x{nodes} refused: {why}")
+                    }
+                    Err(e) => panic!("{fw:?}/{alg:?} x{nodes}: {e}"),
+                }
+            }
+        }
+    }
+}
+
+/// Right, not just consistent: every other test here compares an engine
+/// to the native golden, so a bug shared with native passes. These two
+/// oracles share no code with any engine — the Graph500-style distance
+/// validator and the O(n³) triangle count — and check every framework's
+/// own `Output` on a 2⁷-vertex RMAT.
+#[test]
+fn bfs_and_triangle_outputs_pass_independent_oracles_under_every_framework() {
+    let el = rmat::generate(&RmatConfig {
+        scale: 7,
+        edge_factor: 8,
+        params: RmatParams::TRIANGLE,
+        seed: 230,
+        scramble_ids: true,
+        threads: 1,
+    });
+    let wl = Workload::from_edge_list("oracle-s7", &el);
+    let g = wl.undirected().unwrap();
+    let source = (0..g.num_vertices() as u32)
+        .find(|&v| g.adj.degree(v) > 0)
+        .expect("the graph has an edge");
+    let params = BenchParams {
+        bfs_source: source,
+        ..BenchParams::default()
+    };
+    let triangles = triangles_brute_force(el.edges(), el.num_vertices() as usize);
+    assert!(triangles > 0, "triangle-tuned RMAT must contain triangles");
+    for fw in ALL_FRAMEWORKS {
+        for nodes in [1usize, 4] {
+            if nodes > 1 && !fw.multi_node() {
+                continue;
+            }
+            match run_output(Algorithm::Bfs, fw, &wl, nodes, &params) {
+                Ok((Output::Distances(dist), _)) => assert!(
+                    validate_distances(g, source, &dist),
+                    "{fw:?} x{nodes}: invalid BFS labelling from {source}"
+                ),
+                other => panic!("{fw:?} bfs x{nodes}: {other:?}"),
+            }
+            match run_output(Algorithm::TriangleCount, fw, &wl, nodes, &params) {
+                Ok((Output::Triangles(count), _)) => {
+                    assert_eq!(count, triangles, "{fw:?} x{nodes} vs brute force")
+                }
+                other => panic!("{fw:?} triangles x{nodes}: {other:?}"),
+            }
+        }
+    }
+}
+
 /// Stronger than the digest matrix: the *per-vertex* PageRank and BFS
 /// vectors agree elementwise across all eight engine variants (including
 /// the unoptimized SociaLite and the lowered GraphMat). This is the same machinery the diff
@@ -507,27 +532,15 @@ fn msbfs_conformance_cells_match_native_on_two_scales() {
 fn per_vertex_vectors_agree_across_all_engines() {
     let params = BenchParams::default();
     let wl = Workload::rmat(9, 8, 106);
-    let g = wl.directed().unwrap();
-    let u = wl.undirected().unwrap();
-    let source = default_bfs_source(u);
-    let ranks = pagerank_vector(Framework::Native, g, 1, &params);
-    let dist = bfs_vector(Framework::Native, u, source, 1);
-    let all = [
-        Framework::CombBlas,
-        Framework::GraphLab,
-        Framework::SociaLite,
-        Framework::SociaLiteUnopt,
-        Framework::Giraph,
-        Framework::Galois,
-        Framework::GraphMat,
-    ];
-    for fw in all {
+    let ranks = pagerank_vector(Framework::Native, &wl, 1, &params);
+    let dist = bfs_vector(Framework::Native, &wl, 1, &params);
+    for fw in ALL_FRAMEWORKS {
         let nodes = if fw.multi_node() { 4 } else { 1 };
-        let got = pagerank_vector(fw, g, nodes, &params);
+        let got = pagerank_vector(fw, &wl, nodes, &params);
         if let Some((v, want, have)) = first_divergence_f64(&ranks, &got, REL_TOL) {
             panic!("{fw:?} pagerank v={v}: native {want:.17e} vs {have:.17e}");
         }
-        let gd = bfs_vector(fw, u, source, nodes);
+        let gd = bfs_vector(fw, &wl, nodes, &params);
         if let Some((v, want, have)) = first_divergence_u32(&dist, &gd) {
             panic!("{fw:?} bfs v={v}: native dist {want} vs {have}");
         }

@@ -1,4 +1,4 @@
-//! Cross-framework digest agreement through the Engine trait: every
+//! Cross-framework digest agreement through `run_benchmark`: every
 //! framework's `(digest, report)` pair must carry the same answer for
 //! the same input — triangle counts exactly, BFS finite-distance sums
 //! exactly, PageRank rank sums within 1e-6.
@@ -103,15 +103,4 @@ fn cf_rmse_is_finite_and_comparable_across_frameworks() {
         .iter()
         .fold((f64::MAX, f64::MIN), |(lo, hi), &r| (lo.min(r), hi.max(r)));
     assert!(max / min < 3.0, "CF rmse spread too wide: {rmses:?}");
-}
-
-#[test]
-fn engine_dispatch_matches_framework_names() {
-    for fw in ALL_SEVEN {
-        assert_eq!(
-            fw.engine().name(),
-            fw.name(),
-            "Framework::engine must dispatch to itself"
-        );
-    }
 }
