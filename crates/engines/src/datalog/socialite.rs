@@ -6,7 +6,7 @@
 
 use graphmaze_cluster::{Partition1D, SimError};
 use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{intersect_count, RatingsGraph, VertexId};
+use graphmaze_graph::{RatingsGraph, RowBitmap, VertexId};
 use graphmaze_metrics::{RunReport, Work};
 
 use super::eval::{Agg, SocialiteRuntime};
@@ -173,19 +173,23 @@ pub fn triangles(
         rt.sim().alloc(node, inbound, "socialite:joined-lists")?;
         rt.sim().free(node, inbound);
     }
-    // the z-join, per shard of x
+    // the z-join, per shard of x: charged as the sorted intersection of
+    // both lists, counted by probing EDGE[y] against a bitmap of EDGE[x]
     let mut count = 0u64;
+    let mut marks = RowBitmap::new(oriented.num_vertices());
     for node in 0..nodes {
         let range = shards.range(node);
         let mut stream = 0u64;
         let mut local = 0u64;
         for x in range.start..range.end {
             let nx = edge.neighbors(x);
+            marks.mark(nx);
             for &y in nx {
                 let ny = edge.neighbors(y);
                 stream += (nx.len() + ny.len()) as u64 * 4;
-                local += intersect_count(nx, ny);
+                local += marks.probe(ny);
             }
+            marks.unmark(nx);
         }
         count += local;
         rt.sim().charge(

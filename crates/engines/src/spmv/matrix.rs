@@ -8,7 +8,7 @@
 
 use graphmaze_cluster::{Partition2D, Router, Sim, SimError};
 use graphmaze_graph::csr::Csr;
-use graphmaze_graph::{intersect_count, VertexId};
+use graphmaze_graph::{RowBitmap, VertexId};
 use graphmaze_metrics::Work;
 
 use super::semiring::Semiring;
@@ -277,14 +277,18 @@ impl<'a> DistMatrix<'a> {
         let n = self.csr.num_vertices();
         let mut masked_sum = 0u64;
         let mut per_block_stream = vec![0u64; self.grid.nodes()];
+        let mut row = RowBitmap::new(n);
         for i in 0..n as u32 {
             let ni = self.csr.neighbors(i);
+            row.mark(ni);
             for &j in ni {
-                // A²_ij restricted to the mask = |N(i) ∩ N(j)|
+                // A²_ij restricted to the mask = |N(i) ∩ N(j)|; charged
+                // as the merge of both rows, counted by probing row i
                 let nj = self.csr.neighbors(j);
                 per_block_stream[self.grid.owner(i, j)] += (ni.len() + nj.len()) as u64 * 4;
-                masked_sum += intersect_count(ni, nj);
+                masked_sum += row.probe(nj);
             }
+            row.unmark(ni);
         }
         let mut router = Router::new(sim.nodes(), sim.profile());
         for (p, &stream) in per_block_stream.iter().enumerate() {
@@ -319,25 +323,35 @@ impl<'a> DistMatrix<'a> {
         let mut masked_sum = 0u64;
         let mut nnz_a2 = 0u64;
         let mut block_a2_bytes = vec![0u64; self.grid.nodes()];
-        let mut row_counts: std::collections::HashMap<VertexId, u64> =
-            std::collections::HashMap::new();
         let mut flops = vec![0u64; self.grid.nodes()];
+        // symbolic pass over a dense sparse-accumulator: `paths[j]` counts
+        // the length-2 paths i → k → j of the current row, `touched` lists
+        // its nonzero columns so the reset walks only those
+        let mut paths = vec![0u32; n];
+        let mut touched: Vec<VertexId> = Vec::new();
+        let mut mask = RowBitmap::new(n);
         for i in 0..n as u32 {
-            row_counts.clear();
-            for &k in self.csr.neighbors(i) {
+            let ni = self.csr.neighbors(i);
+            for &k in ni {
                 for &j in self.csr.neighbors(k) {
-                    *row_counts.entry(j).or_insert(0) += 1;
-                    flops[self.grid.owner(i, j)] += 2;
+                    if paths[j as usize] == 0 {
+                        touched.push(j);
+                    }
+                    paths[j as usize] += 1;
                 }
             }
-            nnz_a2 += row_counts.len() as u64;
-            for (&j, &paths) in row_counts.iter() {
-                // 12 bytes per stored (col, count) entry of A²
-                block_a2_bytes[self.grid.owner(i, j)] += 12;
-                if self.csr.has_edge_sorted(i, j) {
-                    masked_sum += paths;
-                }
+            nnz_a2 += touched.len() as u64;
+            mask.mark(ni);
+            for j in touched.drain(..) {
+                let count = u64::from(std::mem::take(&mut paths[j as usize]));
+                let owner = self.grid.owner(i, j);
+                // one multiply-add per path; 12 bytes per stored
+                // (col, count) entry of A²
+                flops[owner] += 2 * count;
+                block_a2_bytes[owner] += 12;
+                masked_sum += count * mask.bit(j);
             }
+            mask.unmark(ni);
         }
         let mut router = Router::new(sim.nodes(), sim.profile());
         for p in 0..self.grid.nodes() {
@@ -464,6 +478,84 @@ mod tests {
             let r1 = s1.finish();
             let r2 = s2.finish();
             assert!(r2.peak_mem_bytes < r1.peak_mem_bytes.max(1) + 1);
+        }
+    }
+
+    /// The symbolic pass as it was before the dense accumulator: a hash
+    /// map per row, the mask tested by binary search — same charges, same
+    /// call order.
+    fn spgemm_masked_count_hashed(m: &DistMatrix, sim: &mut Sim) -> (u64, u64) {
+        let nodes = m.grid.nodes();
+        let (mut masked_sum, mut nnz_a2) = (0u64, 0u64);
+        let mut block_a2_bytes = vec![0u64; nodes];
+        let mut flops = vec![0u64; nodes];
+        for i in 0..m.csr.num_vertices() as u32 {
+            let mut row_counts = std::collections::HashMap::new();
+            for &k in m.csr.neighbors(i) {
+                for &j in m.csr.neighbors(k) {
+                    *row_counts.entry(j).or_insert(0u64) += 1;
+                    flops[m.grid.owner(i, j)] += 2;
+                }
+            }
+            nnz_a2 += row_counts.len() as u64;
+            for (&j, &paths) in &row_counts {
+                block_a2_bytes[m.grid.owner(i, j)] += 12;
+                if m.csr.has_edge_sorted(i, j) {
+                    masked_sum += paths;
+                }
+            }
+        }
+        let mut router = Router::new(sim.nodes(), sim.profile());
+        for p in 0..nodes {
+            sim.alloc(p, block_a2_bytes[p], "spgemm:A2").unwrap();
+            sim.charge(
+                p,
+                Work {
+                    seq_bytes: block_a2_bytes[p],
+                    rand_accesses: flops[p] / 2,
+                    flops: flops[p],
+                },
+            );
+            if nodes > 1 {
+                let bytes = m.block_nnz[p] * 8 * m.grid.pr as u64;
+                let (r, c) = m.grid.coords(p);
+                router.scatter(sim, p, &m.row_peers(r, c), bytes, bytes);
+            }
+        }
+        router.flush(sim);
+        for p in 0..nodes {
+            sim.free(p, block_a2_bytes[p]);
+        }
+        (masked_sum, nnz_a2)
+    }
+
+    #[test]
+    fn accumulator_pass_matches_the_hashed_reference_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2302);
+        let n = 200u32;
+        // a DAG-oriented random graph with a dense head, so rows overlap
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.gen_range(0..100u32) < if u < 8 { 60 } else { 4 } {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let mut csr = Csr::from_edges(u64::from(n), &edges);
+        csr.sort_neighbors();
+        for nodes in [1usize, 4] {
+            let m = DistMatrix::new(&csr, nodes).unwrap();
+            let (mut got_sim, mut want_sim) = (sim(nodes), sim(nodes));
+            let got = m.spgemm_masked_count(&mut got_sim).unwrap();
+            let want = spgemm_masked_count_hashed(&m, &mut want_sim);
+            assert_eq!(got, want, "nodes={nodes}");
+            assert!(got.0 > 0 && got.1 > 0);
+            got_sim.end_step().unwrap();
+            want_sim.end_step().unwrap();
+            assert_eq!(got_sim.finish(), want_sim.finish(), "nodes={nodes}");
         }
     }
 

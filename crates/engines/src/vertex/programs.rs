@@ -12,9 +12,10 @@
 //! a [`GasJob`] that any [`super::gas::Backend`] runs.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 use graphmaze_graph::csr::{Csr, DirectedGraph, UndirectedGraph};
-use graphmaze_graph::{intersect_count, RatingsGraph, VertexId};
+use graphmaze_graph::{RatingsGraph, RowBitmap, VertexId};
 
 use super::engine::VertexGraphView;
 use super::gas::{ApplyContext, GasJob, GasProgram, GatherMode, Gathered};
@@ -312,7 +313,12 @@ impl GasProgram for MsBfsProgram {
 /// vertex sends its out-neighbor list to each out-neighbor; superstep 1,
 /// every vertex intersects received lists with its own out-neighbors.
 /// The total count is the sum of all vertex values.
-pub struct TriangleProgram;
+pub struct TriangleProgram {
+    /// Reusable bitmap of the applying vertex's `N+(v)`, which every
+    /// received list is probed against. Owned by the program value, so
+    /// one run allocates it once and concurrent runs share nothing.
+    marks: RefCell<RowBitmap>,
+}
 
 impl GasProgram for TriangleProgram {
     type Value = u64;
@@ -341,11 +347,14 @@ impl GasProgram for TriangleProgram {
                 Some(nv.to_vec())
             }
         } else {
-            // sorted-merge intersection of each received list with N+(v)
-            let own = g.neighbors(v);
+            // |list ∩ N+(v)| for each received list: mark N+(v) once,
+            // probe every list against it
+            let (own, mut marks) = (g.neighbors(v), self.marks.borrow_mut());
+            marks.mark(own);
             for list in gathered.all() {
-                *value += intersect_count(own, list);
+                *value += marks.probe(list);
             }
+            marks.unmark(own);
             None
         }
     }
@@ -499,21 +508,36 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// vertex engines: users keep their ids, item `v` becomes
 /// `num_users + v`; every rating contributes both directed edges.
 /// Adjacency is sorted so [`VertexGraphView::edge_weight`] can binary
-/// search. Returns `(csr, weights)` aligned per edge.
+/// search (a pair rated twice keeps its ratings in input order).
+/// Returns `(csr, weights)` aligned per edge.
 pub fn pack_bipartite(g: &RatingsGraph) -> (Csr, Vec<f32>) {
     let nu = g.num_users();
-    let total = u64::from(nu) + u64::from(g.num_items());
-    let mut edges: Vec<(VertexId, VertexId, f32)> =
-        Vec::with_capacity(g.num_ratings() as usize * 2);
-    for (u, v, r) in g.triples() {
-        edges.push((u, nu + v, r));
-        edges.push((nu + v, u, r));
+    let edges = g.num_ratings() as usize * 2;
+    let mut offsets = Vec::with_capacity(nu as usize + g.num_items() as usize + 1);
+    offsets.push(0u64);
+    let mut targets: Vec<VertexId> = Vec::with_capacity(edges);
+    let mut weights: Vec<f32> = Vec::with_capacity(edges);
+    // user rows (targets shifted into the item range), then item rows:
+    // both orientations are already CSRs, and the generators emit rows
+    // ascending, so the stable per-row sort is the rare path
+    let mut unsorted_row: Vec<(VertexId, f32)> = Vec::new();
+    for (side, shift) in [(g.by_user(), nu), (g.by_item(), 0)] {
+        for v in 0..side.num_vertices() as VertexId {
+            let (ids, ratings) = (side.neighbors(v), side.weights_of(v));
+            if ids.windows(2).all(|w| w[0] <= w[1]) {
+                targets.extend(ids.iter().map(|&t| t + shift));
+                weights.extend_from_slice(ratings);
+            } else {
+                unsorted_row.clear();
+                unsorted_row.extend(side.edges_of(v));
+                unsorted_row.sort_by_key(|&(t, _)| t);
+                targets.extend(unsorted_row.iter().map(|&(t, _)| t + shift));
+                weights.extend(unsorted_row.iter().map(|&(_, r)| r));
+            }
+            offsets.push(targets.len() as u64);
+        }
     }
-    edges.sort_by_key(|e| (e.0, e.1));
-    let plain: Vec<(VertexId, VertexId)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
-    let weights: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
-    let csr = Csr::from_edges(total, &plain);
-    (csr, weights)
+    (Csr::from_parts(offsets, targets), weights)
 }
 
 /// `iterations` PageRank iterations from uniform rank 1.
@@ -568,7 +592,9 @@ pub fn triangle_job(oriented: &Csr) -> GasJob<'_, TriangleProgram, u64> {
     GasJob {
         graph: Cow::Borrowed(oriented),
         weights: None,
-        program: TriangleProgram,
+        program: TriangleProgram {
+            marks: RefCell::new(RowBitmap::new(oriented.num_vertices())),
+        },
         values: vec![0; oriented.num_vertices()],
         seeds: vec![],
         activate_all: true,
@@ -682,6 +708,53 @@ mod tests {
         let g = UndirectedGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let (values, _) = run(bfs_job(&g, 0), &cfg(), 2).unwrap();
         assert_eq!(values, vec![0, 1, 2, 3]);
+    }
+
+    /// `pack_bipartite` as first written: every rating as two triples,
+    /// one global stable sort by (source, target).
+    fn pack_bipartite_by_global_sort(g: &RatingsGraph) -> (Csr, Vec<f32>) {
+        let nu = g.num_users();
+        let total = u64::from(nu) + u64::from(g.num_items());
+        let mut edges = Vec::new();
+        for (u, v, r) in g.triples() {
+            edges.push((u, nu + v, r));
+            edges.push((nu + v, u, r));
+        }
+        edges.sort_by_key(|e| (e.0, e.1));
+        let plain: Vec<(VertexId, VertexId)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
+        let weights = edges.iter().map(|&(_, _, w)| w).collect();
+        (Csr::from_edges(total, &plain), weights)
+    }
+
+    #[test]
+    fn pack_bipartite_equals_the_global_sort_on_unsorted_and_repeated_ratings() {
+        // rows arrive descending and interleaved; (user 1, item 2) is
+        // rated twice with different ratings; user 3 and item 1 are empty
+        let ratings: Vec<(u32, u32, f32)> = vec![
+            (1, 3, 1.0),
+            (0, 2, 2.0),
+            (1, 2, 3.0),
+            (2, 3, 4.0),
+            (1, 0, 5.0),
+            (0, 0, 6.0),
+            (1, 2, 7.0),
+            (2, 0, 8.0),
+        ];
+        let g = RatingsGraph::from_ratings(4, 4, &ratings);
+        let (csr, weights) = pack_bipartite(&g);
+        assert!(csr.neighbors_sorted());
+        assert_eq!(csr.neighbors(1), &[4, 6, 6, 7]);
+        assert_eq!(&weights[2..6], &[5.0, 3.0, 7.0, 1.0]);
+        assert_eq!((csr, weights), pack_bipartite_by_global_sort(&g));
+        // and on a generated graph, whose rows are already ascending
+        let g = graphmaze_datagen::ratings::generate(&graphmaze_datagen::RatingsGenConfig {
+            scale: 7,
+            edge_factor: 8,
+            num_items: 32,
+            min_degree: 3,
+            seed: 2303,
+        });
+        assert_eq!(pack_bipartite(&g), pack_bipartite_by_global_sort(&g));
     }
 
     #[test]

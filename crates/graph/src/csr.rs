@@ -178,6 +178,68 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     count
 }
 
+/// A reusable one-bit-per-vertex row bitmap — the §6.1.1 bit-vector lever
+/// as a kernel: [`mark`](RowBitmap::mark) one adjacency list,
+/// [`probe`](RowBitmap::probe) any number of others against it (each
+/// returns what [`intersect_count`] would), then
+/// [`unmark`](RowBitmap::unmark) the same list, which clears only the
+/// words it set. Allocate one per run or per worker, never per row.
+///
+/// ```
+/// use graphmaze_graph::{intersect_count, RowBitmap};
+/// let mut marks = RowBitmap::new(100);
+/// let (row, other) = ([3, 64, 99], [0, 3, 50, 99]);
+/// marks.mark(&row);
+/// assert_eq!(marks.probe(&other), intersect_count(&row, &other));
+/// marks.unmark(&row);
+/// assert_eq!(marks.probe(&other), 0);
+/// ```
+#[derive(Clone, Debug)]
+pub struct RowBitmap {
+    words: Vec<u64>,
+}
+
+impl RowBitmap {
+    /// An all-clear bitmap over vertex ids `0..n`.
+    pub fn new(n: usize) -> Self {
+        RowBitmap {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Sets the bit of every id in `list`. Panics on an id `>= n`
+    /// (rounded up to a whole word).
+    #[inline]
+    pub fn mark(&mut self, list: &[VertexId]) {
+        for &v in list {
+            self.words[(v >> 6) as usize] |= 1u64 << (v & 63);
+        }
+    }
+
+    /// Number of ids in `list` whose bit is set — `count += bit`, no
+    /// data-dependent branch. Equals `intersect_count(marked, list)` when
+    /// `list` is duplicate-free.
+    #[inline]
+    pub fn probe(&self, list: &[VertexId]) -> u64 {
+        list.iter().map(|&v| self.bit(v)).sum()
+    }
+
+    /// The bit of `v`, as 0 or 1.
+    #[inline]
+    pub fn bit(&self, v: VertexId) -> u64 {
+        (self.words[(v >> 6) as usize] >> (v & 63)) & 1
+    }
+
+    /// Clears the words [`mark`](RowBitmap::mark) touched for `list`;
+    /// after `mark(l); unmark(l)` the bitmap is all-clear again.
+    #[inline]
+    pub fn unmark(&mut self, list: &[VertexId]) {
+        for &v in list {
+            self.words[(v >> 6) as usize] = 0;
+        }
+    }
+}
+
 /// A CSR with a parallel weight per target (for ratings graphs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeightedCsr {
@@ -364,6 +426,8 @@ mod tests {
     use super::*;
 
     use crate::fixtures::fig2_edges as fig2;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn csr_matches_fig2_adjacency() {
@@ -408,6 +472,52 @@ mod tests {
         assert_eq!(intersect_count(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), 2);
         assert_eq!(intersect_count(&[4, 8], &[4, 8]), 2);
         assert_eq!(intersect_count(&[1, 2], &[3, 4]), 0);
+    }
+
+    /// A random ascending duplicate-free id list over `0..n` that keeps
+    /// each id with probability `keep`/256 and always considers the word
+    /// boundaries and `n - 1`.
+    fn random_row(rng: &mut SmallRng, n: u32, keep: u32) -> Vec<VertexId> {
+        (0..n)
+            .filter(|&v| {
+                let edge = v % 64 == 0 || v % 64 == 63 || v == n - 1;
+                rng.gen_range(0..256u32) < if edge { keep.max(128) } else { keep }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_bitmap_probe_equals_merge_and_unmark_leaves_no_bit() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        for n in [1u32, 63, 64, 65, 4096] {
+            let mut marks = RowBitmap::new(n as usize);
+            for round in 0..200 {
+                let keep = [2, 32, 128, 250][round % 4];
+                let a = random_row(&mut rng, n, keep);
+                let b = random_row(&mut rng, n, 64);
+                marks.mark(&a);
+                assert_eq!(marks.probe(&b), intersect_count(&a, &b), "n={n}");
+                assert_eq!(marks.probe(&a), a.len() as u64, "n={n}");
+                marks.unmark(&a);
+                assert!(marks.words.iter().all(|&w| w == 0), "n={n} leaked a bit");
+            }
+        }
+    }
+
+    #[test]
+    fn row_bitmap_reused_across_a_thousand_rows_never_leaks() {
+        let mut rng = SmallRng::seed_from_u64(24);
+        let n = 4096;
+        let mut marks = RowBitmap::new(n as usize);
+        let everyone: Vec<VertexId> = (0..n).collect();
+        for _ in 0..1000 {
+            let row = random_row(&mut rng, n, 8);
+            marks.mark(&row);
+            // exactly the marked ids answer, whatever earlier rows held
+            assert_eq!(marks.probe(&everyone), row.len() as u64);
+            marks.unmark(&row);
+        }
+        assert_eq!(marks.probe(&everyone), 0);
     }
 
     #[test]

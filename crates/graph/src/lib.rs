@@ -11,7 +11,9 @@
 //! * graphs are stored in **Compressed Sparse Row** form so that edge
 //!   traversal is a single contiguous stream ([`Csr`]);
 //! * BFS and triangle counting use **bit-vectors** for constant-time
-//!   membership with minimal cache footprint ([`BitVec`], [`AtomicBitVec`]);
+//!   membership with minimal cache footprint ([`BitVec`], [`AtomicBitVec`],
+//!   and the reusable mark/probe/unmark [`RowBitmap`] every triangle path
+//!   counts through);
 //! * frontiers switch between sparse and dense representations
 //!   ([`Frontier`]);
 //! * collaborative filtering uses a **bipartite ratings graph**
@@ -38,7 +40,7 @@ pub mod transform;
 pub use bipartite::RatingsGraph;
 pub use bitvec::{AtomicBitVec, BitVec};
 pub use cc::{connected_components, ComponentStats, UnionFind};
-pub use csr::{intersect_count, Csr, DirectedGraph, UndirectedGraph};
+pub use csr::{intersect_count, Csr, DirectedGraph, RowBitmap, UndirectedGraph};
 pub use degree::DegreeStats;
 pub use edgelist::{EdgeList, WeightedEdgeList};
 pub use frontier::Frontier;

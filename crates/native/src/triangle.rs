@@ -5,21 +5,32 @@
 //! lists with its own. Edges are pre-oriented into a DAG (smaller id →
 //! larger id, §4.1.2) so each triangle is counted exactly once. Adjacency
 //! lists are sorted for linear-time merge intersection; the bit-vector
-//! lever (§6.1.1, worth ~2.2×) switches hub vertices to constant-time
-//! membership probes.
+//! lever (§6.1.1, worth ~2.2×) replaces the merge by constant-time
+//! membership probes: mark `N+(u)` in a per-worker [`RowBitmap`], probe
+//! every `N+(v)`, unmark. The simulated cost of a row is a closed form
+//! over degrees, so the host counts every row through the bitmap while
+//! the cost model still charges only hub rows as probes.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphmaze_cluster::compress::encode_best;
 use graphmaze_cluster::{ClusterSpec, Partition1D, Router, Sim, SimError};
 use graphmaze_graph::csr::Csr;
-use graphmaze_graph::par::par_reduce;
-use graphmaze_graph::{intersect_count, BitVec, EdgeList, VertexId};
+use graphmaze_graph::par::par_tasks;
+use graphmaze_graph::{intersect_count, BitVec, EdgeList, RowBitmap, VertexId};
 use graphmaze_metrics::{RunReport, Work};
 
 use crate::common::{edge_stream_work, NativeOptions};
 
-/// Degree above which the bit-vector membership strategy is used for a
-/// vertex's neighbor set.
+/// Degree above which a vertex's row is *charged* as bit-vector probes
+/// rather than as a merge stream (a cost-model input; the host kernel
+/// does not consult it).
 const BITVEC_DEGREE_THRESHOLD: u32 = 256;
+
+/// Oriented edges per dynamically claimed block of rows: small enough
+/// that two workers split a power-law graph evenly, large enough that the
+/// shared cursor is touched once per few thousand probes.
+const ROW_BLOCK_EDGES: u64 = 2048;
 
 /// Orients edges from smaller to larger vertex id (dropping self-loops
 /// and duplicates) and returns a sorted-adjacency CSR — the preprocessing
@@ -33,48 +44,55 @@ pub fn orient_and_sort(el: &EdgeList) -> Csr {
     csr
 }
 
-/// Counts the triangles of a DAG-oriented, sorted-adjacency CSR by merge
-/// intersection of `N+(u)` and `N+(v)` for every edge `(u, v)`.
+/// Counts the triangles of a DAG-oriented, sorted-adjacency CSR:
+/// `|N+(u) ∩ N+(v)|` summed over every edge `(u, v)`.
 pub fn triangles(g: &Csr, threads: usize) -> u64 {
     triangles_with(g, threads, true)
 }
 
-/// Triangle counting with the bit-vector lever controllable.
+/// Triangle counting with the bit-vector lever controllable: on, every
+/// row is marked once in the worker's [`RowBitmap`] and its neighbors'
+/// lists are probed against it; off, every pair is merge-intersected
+/// (the reference the Fig 7 ablation and the benches compare against).
+/// Workers claim blocks of consecutive rows holding about
+/// `ROW_BLOCK_EDGES` oriented edges each, so the split follows edges,
+/// not vertices.
 pub fn triangles_with(g: &Csr, threads: usize, use_bitvector: bool) -> u64 {
     debug_assert!(g.neighbors_sorted(), "adjacency must be sorted");
     let n = g.num_vertices();
-    par_reduce(
-        n,
-        threads,
-        || 0u64,
-        |acc, u| {
-            let nu = g.neighbors(u as VertexId);
-            if nu.is_empty() {
-                return acc;
+    let row_starts = &g.offsets()[..n];
+    let cursor = AtomicU64::new(0);
+    let worker = |_| {
+        let mut marks = RowBitmap::new(n);
+        let mut count = 0u64;
+        loop {
+            let lo = cursor.fetch_add(ROW_BLOCK_EDGES, Ordering::Relaxed);
+            if lo >= g.num_edges() {
+                return count;
             }
-            let mut local = 0u64;
-            if use_bitvector && nu.len() as u32 >= BITVEC_DEGREE_THRESHOLD {
-                // hub: constant-time probes against a bitmap of N+(u)
-                let mut bv = BitVec::new(n);
-                for &w in nu {
-                    bv.set(w as usize);
-                }
-                for &v in nu {
-                    for &w in g.neighbors(v) {
-                        if bv.get(w as usize) {
-                            local += 1;
-                        }
+            // the rows whose first edge falls in this block
+            let first = row_starts.partition_point(|&o| o < lo);
+            let last = row_starts.partition_point(|&o| o < lo + ROW_BLOCK_EDGES);
+            for u in first..last {
+                let nu = g.neighbors(u as VertexId);
+                if use_bitvector {
+                    marks.mark(nu);
+                    for &v in nu {
+                        count += marks.probe(g.neighbors(v));
+                    }
+                    marks.unmark(nu);
+                } else {
+                    for &v in nu {
+                        count += intersect_count(nu, g.neighbors(v));
                     }
                 }
-            } else {
-                for &v in nu {
-                    local += intersect_count(nu, g.neighbors(v));
-                }
             }
-            acc + local
-        },
-        |a, b| a + b,
-    )
+        }
+    };
+    let blocks = g.num_edges().div_ceil(ROW_BLOCK_EDGES) as usize;
+    par_tasks(threads.clamp(1, blocks.max(1)), worker)
+        .into_iter()
+        .sum()
 }
 
 /// Brute-force triangle count over all vertex triples — the O(n³) oracle
@@ -181,42 +199,24 @@ pub fn triangles_cluster(
         sim.alloc(consumer, buffer, "tc:inbound-lists")?;
     }
 
-    // Local counting (the real computation, charged per owner node).
+    // Local counting, charged per owner node from degree sums alone: a
+    // hub row costs one probe per neighbor-list entry, any other row
+    // streams both lists of every pair.
     sim.phase("tc:exchange+count");
-    let mut total = 0u64;
     for node in 0..nodes {
         let r = part.range(node);
-        let mut count = 0u64;
         let mut stream_edges = 0u64;
         let mut probes = 0u64;
         for u in r.start..r.end {
-            let nu = g.neighbors(u);
-            if nu.is_empty() {
-                continue;
-            }
-            let hub = opts.bitvector && nu.len() as u32 >= BITVEC_DEGREE_THRESHOLD;
-            if hub {
-                let mut bv = BitVec::new(n);
-                for &w in nu {
-                    bv.set(w as usize);
-                }
-                for &v in nu {
-                    for &w in g.neighbors(v) {
-                        probes += 1;
-                        if bv.get(w as usize) {
-                            count += 1;
-                        }
-                    }
-                }
+            let du = u64::from(g.degree(u));
+            let neighbor_degrees: u64 =
+                g.neighbors(u).iter().map(|&v| u64::from(g.degree(v))).sum();
+            if opts.bitvector && du >= u64::from(BITVEC_DEGREE_THRESHOLD) {
+                probes += neighbor_degrees;
             } else {
-                for &v in nu {
-                    let nv = g.neighbors(v);
-                    stream_edges += (nu.len() + nv.len()) as u64;
-                    count += intersect_count(nu, nv);
-                }
+                stream_edges += du * du + neighbor_degrees;
             }
         }
-        total += count;
         // Merge scans stream both lists; probe strategy costs one random
         // access per probe; without the bit-vector lever probes double
         // (word-sized flags, worse cache behaviour).
@@ -227,7 +227,8 @@ pub fn triangles_cluster(
     }
     sim.end_step()?;
     sim.end_iteration();
-    Ok((total, sim.finish()))
+    // the real computation: what is counted never depended on who owns it
+    Ok((triangles_with(g, 1, true), sim.finish()))
 }
 
 #[cfg(test)]
@@ -288,6 +289,58 @@ mod tests {
         let el = rmat_el(10, 9);
         let g = orient_and_sort(&el);
         assert_eq!(triangles_with(&g, 4, true), triangles_with(&g, 4, false));
+    }
+
+    /// One oriented row far above the charge threshold (vertex 0 sees
+    /// everyone), one long row below it (vertex 1 sees every even id)
+    /// and a sparse band closing triangles through both.
+    fn hub_el() -> EdgeList {
+        let n: u32 = 320;
+        let mut edges: Vec<(VertexId, VertexId)> = (1..n).map(|v| (0, v)).collect();
+        edges.extend((2..n).step_by(2).map(|v| (v, 1)));
+        for v in 2..n {
+            edges.extend(
+                [1, 5, 13]
+                    .iter()
+                    .filter(|&&d| v + d < n)
+                    .map(|&d| (v, v + d)),
+            );
+        }
+        EdgeList::from_edges(u64::from(n), edges).unwrap()
+    }
+
+    #[test]
+    fn count_is_thread_count_and_lever_invariant() {
+        for el in [hub_el(), rmat_el(11, 21)] {
+            let g = orient_and_sort(&el);
+            let want = triangles_with(&g, 1, false);
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(triangles(&g, threads), want, "threads={threads}");
+                assert_eq!(triangles_with(&g, threads, false), want);
+            }
+        }
+        let hub = hub_el();
+        let g = orient_and_sort(&hub);
+        assert!(g.degree(0) >= BITVEC_DEGREE_THRESHOLD);
+        assert_eq!(
+            triangles(&g, 2),
+            triangles_brute_force(hub.edges(), hub.num_vertices() as usize)
+        );
+    }
+
+    #[test]
+    fn empty_and_edgeless_graphs_count_zero() {
+        for n in [0u64, 1, 100] {
+            let g = orient_and_sort(&EdgeList::from_edges(n, vec![]).unwrap());
+            for threads in [1, 4] {
+                assert_eq!(triangles(&g, threads), 0);
+                assert_eq!(triangles_with(&g, threads, false), 0);
+            }
+            if n > 0 {
+                let (count, _) = triangles_cluster(&g, NativeOptions::all(), 1).unwrap();
+                assert_eq!(count, 0);
+            }
+        }
     }
 
     #[test]
