@@ -2,7 +2,7 @@
 //! GD convergence, §6.1.3 Giraph superstep splitting, and the §6.1.1
 //! design-choice ablations DESIGN.md calls out.
 
-use graphmaze_core::cluster::Partition1D;
+use graphmaze_core::cluster::{with_work_scale, Partition1D};
 use graphmaze_core::native::cf::{self, CfConfig};
 use graphmaze_core::prelude::*;
 use graphmaze_core::report::{fmt_bytes, fmt_secs, fmt_slowdown, format_table};
@@ -159,7 +159,7 @@ pub fn giraph_split(cfg: &ReproConfig) -> String {
     let factor = cfg.scale_factor(1_468_365_182, oriented.num_edges()); // Twitter-scale
     let mut rows = Vec::new();
     for splits in [1u32, 10, 100] {
-        let res = crate::with_work_scale(factor, || {
+        let res = with_work_scale(factor, || {
             Backend::Bsp(giraph::config(splits)).run(programs::triangle_job(oriented), 4)
         });
         match res {
@@ -231,7 +231,7 @@ pub fn roadmap(cfg: &ReproConfig) -> String {
     let nt = native.seconds_per_iteration();
     let improved = |cfg| {
         let job = programs::pagerank_job(g, PAGERANK_R, params.pr_iterations);
-        crate::with_work_scale(factor, || Backend::Bsp(cfg).run(job, 4))
+        with_work_scale(factor, || Backend::Bsp(cfg).run(job, 4))
             .expect("improved")
             .1
     };
@@ -303,10 +303,10 @@ pub fn roadmap(cfg: &ReproConfig) -> String {
             tc_factor,
             &params,
         );
-        let (after_count, after) = crate::with_work_scale(tc_factor, || {
+        let (after_count, after) = with_work_scale(tc_factor, || {
             combblas::triangles_improved(tg, 4).expect("fused tc")
         });
-        let (native_count, _) = crate::with_work_scale(tc_factor, || {
+        let (native_count, _) = with_work_scale(tc_factor, || {
             graphmaze_core::native::triangle::triangles_cluster(tg, NativeOptions::all(), 4)
                 .expect("native count")
         });
@@ -334,7 +334,7 @@ pub fn roadmap(cfg: &ReproConfig) -> String {
         let source = (0..und.num_vertices() as u32)
             .max_by_key(|&v| und.adj.degree(v))
             .unwrap();
-        let after = crate::with_work_scale(factor, || {
+        let after = with_work_scale(factor, || {
             combblas::bfs_improved(und, source, 4).expect("improved bfs")
         })
         .1;
@@ -475,7 +475,7 @@ pub fn related_work(cfg: &ReproConfig) -> String {
     .expect("native");
     let nt = native.seconds_per_iteration();
     let run4 = |cfg| -> f64 {
-        crate::with_work_scale(factor, || {
+        with_work_scale(factor, || {
             Backend::Bsp(cfg).run(programs::pagerank_job(g, PAGERANK_R, it), 4)
         })
         .expect("runs")

@@ -6,6 +6,7 @@
 //! engine directly (it varies `NativeOptions`, which the crossbar
 //! doesn't expose) but shares workloads through the cache.
 
+use graphmaze_core::cluster::with_work_scale;
 use graphmaze_core::prelude::*;
 use graphmaze_core::report::{fmt_secs, fmt_slowdown, format_table, geomean};
 use graphmaze_native::{bfs as nbfs, pagerank as npr, NativeOptions, PAGERANK_R};
@@ -593,7 +594,7 @@ pub fn fig7(cfg: &ReproConfig) -> String {
     let all = NativeOptions::all(); // adds the bit-vector lever
 
     let pr_time = |o: NativeOptions| -> f64 {
-        crate::with_work_scale(factor, || {
+        with_work_scale(factor, || {
             npr::pagerank_cluster(g, PAGERANK_R, 3, o, 4)
                 .expect("pr runs")
                 .1
@@ -601,7 +602,7 @@ pub fn fig7(cfg: &ReproConfig) -> String {
         })
     };
     let bfs_time = |o: NativeOptions| -> f64 {
-        crate::with_work_scale(factor, || {
+        with_work_scale(factor, || {
             nbfs::bfs_cluster(und, source, o, 4)
                 .expect("bfs runs")
                 .1

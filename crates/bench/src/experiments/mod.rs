@@ -29,6 +29,7 @@ pub mod extras;
 pub mod figures;
 pub mod tables;
 
+use graphmaze_core::cluster::with_work_scale;
 use graphmaze_core::prelude::*;
 use graphmaze_core::sweep::CellResult;
 
@@ -124,7 +125,7 @@ pub fn run_cell(
     factor: f64,
     params: &BenchParams,
 ) -> Result<RunReport, String> {
-    crate::with_work_scale(factor, || {
+    with_work_scale(factor, || {
         run_benchmark(alg, fw, wl, nodes, params)
             .map(|o| o.report)
             .map_err(|e| match e {

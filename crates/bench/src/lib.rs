@@ -1,18 +1,20 @@
 //! # graphmaze-bench
 //!
 //! The benchmark harness: [`experiments`] regenerates **every table and
-//! figure** of the paper's evaluation (run the `repro` binary), and the
-//! Criterion benches under `benches/` measure the *real* wall-clock of
-//! the real kernels and engines.
+//! figure** of the paper's evaluation (run the `repro` binary). The host
+//! wall-clock of the kernels and engines is measured from outside, by the
+//! stand-alone `benchmark/` package at the repository root.
 //!
 //! ## Scale and extrapolation
 //!
 //! The paper's runs use up to 16 B edges on 64 physical nodes; the repro
 //! harness executes the same algorithms on scaled-down inputs and, for
 //! absolute numbers, applies the simulator's *work-scale extrapolation*
-//! ([`with_work_scale`]): every metered byte, flop, message and
-//! allocation is multiplied by `paper_size / generated_size`, which is
-//! exact for per-edge-linear algorithms (PageRank, CF) and a documented
+//! ([`with_work_scale`](graphmaze_core::cluster::with_work_scale), a
+//! thread-local override, so concurrent sweep cells each see only their
+//! own scale): every metered byte, flop, message and allocation is
+//! multiplied by `paper_size / generated_size`, which is exact for
+//! per-edge-linear algorithms (PageRank, CF) and a documented
 //! approximation for BFS/TC. Ratios between frameworks — the paper's
 //! actual findings — do not depend on the extrapolation.
 //!
@@ -33,14 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graphmaze_core::prelude::*;
-
-/// Runs `f` under a simulator work-scale of `scale` (≥ 1), restoring the
-/// previous value afterwards. The override is **thread-local** (see
-/// `graphmaze_cluster::work_scale`), so sweep cells running concurrently
-/// on the executor's worker threads each see only their own scale.
-pub fn with_work_scale<T>(scale: f64, f: impl FnOnce() -> T) -> T {
-    graphmaze_core::cluster::with_work_scale(scale, f)
-}
 
 /// Cell counters accumulated across every sweep of a `repro` invocation,
 /// for the end-of-run summary.
@@ -285,15 +279,6 @@ pub fn standard_params() -> BenchParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn work_scale_guard_restores_scale() {
-        use graphmaze_core::cluster::current_work_scale;
-        let before = current_work_scale();
-        let inside = with_work_scale(8.0, current_work_scale);
-        assert_eq!(inside, 8.0);
-        assert_eq!(current_work_scale(), before);
-    }
 
     #[test]
     fn scale_factor_math() {

@@ -14,8 +14,6 @@
 //!   membership with minimal cache footprint ([`BitVec`], [`AtomicBitVec`],
 //!   and the reusable mark/probe/unmark [`RowBitmap`] every triangle path
 //!   counts through);
-//! * frontiers switch between sparse and dense representations
-//!   ([`Frontier`]);
 //! * collaborative filtering uses a **bipartite ratings graph**
 //!   ([`RatingsGraph`]);
 //! * intra-node parallelism uses scoped threads over contiguous chunks
@@ -31,11 +29,9 @@ pub mod csr;
 pub mod degree;
 pub mod edgelist;
 pub mod fixtures;
-pub mod frontier;
 pub mod io;
 pub mod msbfs;
 pub mod par;
-pub mod transform;
 
 pub use bipartite::RatingsGraph;
 pub use bitvec::{AtomicBitVec, BitVec};
@@ -43,7 +39,6 @@ pub use cc::{connected_components, ComponentStats, UnionFind};
 pub use csr::{intersect_count, Csr, DirectedGraph, RowBitmap, UndirectedGraph};
 pub use degree::DegreeStats;
 pub use edgelist::{EdgeList, WeightedEdgeList};
-pub use frontier::Frontier;
 
 /// Vertex identifier. `u32` keeps adjacency arrays half the size of `usize`
 /// arrays, doubling effective memory bandwidth on edge streams (§6.1.1).

@@ -42,8 +42,8 @@ pub const WORD_SOURCES: usize = 64;
 /// (`64 × n` u32s) bounded.
 pub const MAX_BATCH: usize = 512;
 
-/// Frontier occupancy above which [`msbfs_with`] runs a level bottom-up
-/// (matches the scalar BFS switch).
+/// Occupancy of the frontier above which [`msbfs_with`] runs a level
+/// bottom-up (matches the scalar BFS switch).
 const BOTTOM_UP_THRESHOLD: f64 = 0.05;
 
 /// Multi-source BFS over `adj` from `sources`, using `threads` workers.
