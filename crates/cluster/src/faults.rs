@@ -21,6 +21,8 @@
 
 use std::cell::Cell;
 
+use graphmaze_graph::rng::splitmix64;
+
 use crate::hardware::NodeProfile;
 
 /// A whole-node failure scheduled at a specific BSP step.
@@ -135,15 +137,6 @@ const KIND_MEMPRESS: u64 = 0x3E;
 const KIND_LINKDROP: u64 = 0x1D;
 const KIND_DUP: u64 = 0xD2;
 
-/// SplitMix64 finalizer — a full-avalanche 64-bit mix.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// The fault-free plan (the default everywhere).
     pub fn none() -> Self {
@@ -240,7 +233,7 @@ impl FaultPlan {
     /// plan seed and the event coordinates.
     #[inline]
     fn unit(&self, kind: u64, a: u64, b: u64) -> f64 {
-        let h = mix64(mix64(mix64(self.seed ^ kind) ^ a) ^ b);
+        let h = splitmix64(splitmix64(splitmix64(self.seed ^ kind) ^ a) ^ b);
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 

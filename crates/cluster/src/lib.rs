@@ -21,8 +21,8 @@
 //!   flush policies, combiners, id compression and a single packetization
 //!   rule, recording the per-(src, dst) traffic matrix of every run;
 //! * partitioning schemes match §6.1.1: 1-D balanced-by-edges
-//!   ([`Partition1D`]), 2-D grid ([`Partition2D`]), and high-degree
-//!   replication ([`partition::hubs_to_replicate`]);
+//!   ([`Partition1D`]) and the 2-D grid ([`Partition2D`]); GraphLab's
+//!   high-degree replication runs in the engines' vertex engine;
 //! * seeded deterministic fault injection — stragglers, message drops,
 //!   transient memory pressure, whole-node failure — with Giraph-style
 //!   checkpoint/restart recovery is configured by a [`FaultPlan`]

@@ -5,9 +5,11 @@
 //!   by edge count. Used by native, GraphLab, SociaLite and Giraph.
 //! * [`Partition2D`] — CombBLAS's edge partitioning: a √P × √P process
 //!   grid over blocks of the adjacency matrix.
-//! * [`hubs_to_replicate`] — GraphLab's "advanced partitioning scheme
-//!   where some nodes with large degree are duplicated in multiple nodes"
-//!   (§6.1.1).
+//!
+//! GraphLab's "advanced partitioning scheme where some nodes with large
+//! degree are duplicated in multiple nodes" (§6.1.1) is not a partition
+//! here: the vertex engine (`graphmaze_engines::vertex::engine`) keeps the
+//! 1-D partition and replicates hubs as it delivers messages.
 
 use graphmaze_graph::csr::Csr;
 use graphmaze_graph::VertexId;
@@ -51,22 +53,6 @@ impl Partition1D {
             bounds.push(idx.max(last));
         }
         bounds.push(n as VertexId);
-        Partition1D { bounds }
-    }
-
-    /// Splits `0..csr.num_vertices()` into `weights.len()` contiguous
-    /// ranges whose *edge* shares are proportional to `weights` — the
-    /// elastic repartitioning rule: a node with half the capacity weight
-    /// owns half the edges. `balanced_by_edges` is the equal-weights
-    /// special case (up to rounding of the cut targets).
-    pub fn balanced_by_edges_weighted(csr: &Csr, weights: &[f64]) -> Self {
-        let n = csr.num_vertices();
-        let offsets = csr.offsets();
-        let degrees: Vec<u64> = (0..n).map(|v| offsets[v + 1] - offsets[v]).collect();
-        let bounds = weighted_bounds(&degrees, weights)
-            .into_iter()
-            .map(|b| b as VertexId)
-            .collect();
         Partition1D { bounds }
     }
 
@@ -144,11 +130,10 @@ impl Partition1D {
 /// Splits items `0..loads.len()` into `weights.len()` contiguous parts
 /// whose *load* shares are proportional to `weights`: cut `k` lands at
 /// the first item whose load prefix reaches
-/// `total_load · (w₀+…+w_k)/Σw`. This is the shared kernel behind
-/// [`Partition1D::balanced_by_edges_weighted`] (items = vertices, loads
-/// = degrees) and the simulator's elastic placement of logical
-/// partitions onto heterogeneous physical nodes (items = logical
-/// partitions, loads = their edge counts, weights = capacity weights).
+/// `total_load · (w₀+…+w_k)/Σw`. This is the simulator's elastic
+/// placement of logical partitions onto heterogeneous physical nodes
+/// (items = logical partitions, loads = their edge counts, weights =
+/// capacity weights).
 ///
 /// Negative weights count as zero (an empty part); if all weights are
 /// zero, or the total load is zero, items are split by count instead.
@@ -276,20 +261,6 @@ impl Partition2D {
     }
 }
 
-/// Returns the vertices whose degree is ≥ `factor`× the average degree —
-/// the hubs GraphLab replicates across nodes to balance load.
-pub fn hubs_to_replicate(csr: &Csr, factor: f64) -> Vec<VertexId> {
-    let n = csr.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    let avg = csr.num_edges() as f64 / n as f64;
-    let threshold = (avg * factor).max(1.0);
-    (0..n as u32)
-        .filter(|&v| f64::from(csr.degree(v)) >= threshold)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,22 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn hubs_found_by_degree() {
-        let mut edges: Vec<(u32, u32)> = (1..=20).map(|v| (0, v)).collect();
-        edges.push((1, 2));
-        let g = Csr::from_edges(21, &edges);
-        let hubs = hubs_to_replicate(&g, 5.0);
-        assert_eq!(hubs, vec![0]);
-        assert!(hubs_to_replicate(&g, 0.1).len() >= 2);
-    }
-
-    #[test]
-    fn hubs_empty_graph() {
-        let g = Csr::from_edges(0, &[]);
-        assert!(hubs_to_replicate(&g, 2.0).is_empty());
-    }
-
-    #[test]
     fn one_d_by_edges_more_nodes_than_vertices_distributes() {
         // 2 vertices, 1 edge, 5 nodes: every intermediate edge target
         // rounds to zero — the old code put *everything* on node 4.
@@ -515,17 +470,5 @@ mod tests {
         // negative weight counts as zero
         let b = weighted_bounds(&[1, 1], &[-3.0, 1.0]);
         assert_eq!(b, vec![0, 0, 2]);
-    }
-
-    #[test]
-    fn weighted_partition_matches_capacity_ratio() {
-        // path graph: degrees nearly uniform, so edge shares track the
-        // 2:1 capacity ratio
-        let g = path_graph(99);
-        let p = Partition1D::balanced_by_edges_weighted(&g, &[1.0, 0.5]);
-        let (e0, e1) = (p.edges_of(&g, 0), p.edges_of(&g, 1));
-        assert_eq!(e0 + e1, g.num_edges());
-        let ratio = e0 as f64 / e1 as f64;
-        assert!((ratio - 2.0).abs() < 0.2, "ratio {ratio}");
     }
 }

@@ -171,8 +171,8 @@ impl ExecProfile {
             work_multiplier: 6.0, // boxed vertex/message objects, per-edge dispatch
             per_step_overhead_s: 0.9, // Hadoop superstep barrier + scheduling
             checkpoint_restart: true, // superstep checkpointing via HDFS
-            // whole-superstep buffering with 48B of object header per
-            // buffered message (vertex/giraph.rs MESSAGE_OBJECT_OVERHEAD)
+            // whole-superstep buffering with 48B of JVM object header
+            // charged per buffered message
             router: RouterConfig::barrier().with_overhead(48),
             // Netty channel timeouts and Hadoop-style heartbeating: slow
             // to detect loss, but speculative execution of stragglers

@@ -568,13 +568,6 @@ impl Sim {
         self.logical_mem[node] = self.logical_mem[node].saturating_sub(bytes);
     }
 
-    /// Releases the same allocation on every node.
-    pub fn free_all(&mut self, bytes: u64) {
-        for node in 0..self.nodes() {
-            self.free(node, bytes);
-        }
-    }
-
     /// Current bytes in use on the physical node hosting logical `node`.
     pub fn mem_in_use(&self, node: usize) -> u64 {
         self.mem[self.place[node]].in_use()
@@ -590,11 +583,6 @@ impl Sim {
             self.phase.clear();
             self.phase.push_str(label);
         }
-    }
-
-    /// The phase label currently in effect.
-    pub fn current_phase(&self) -> &str {
-        &self.phase
     }
 
     /// The BSP barrier: folds the current step into the clock and

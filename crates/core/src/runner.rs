@@ -15,6 +15,7 @@ use graphmaze_engines::spmv::combblas;
 use graphmaze_engines::taskpar::galois;
 use graphmaze_engines::vertex::{giraph, graphlab, programs, Backend};
 use graphmaze_graph::csr::Csr;
+use graphmaze_graph::rng;
 use graphmaze_graph::{DirectedGraph, RatingsGraph, UndirectedGraph};
 use graphmaze_metrics::RunReport;
 use graphmaze_native::cf::CfConfig;
@@ -230,12 +231,8 @@ pub fn msbfs_sources(num_vertices: u32, count: u32, seed: u64) -> Vec<u32> {
     let mut picked = std::collections::HashSet::with_capacity(take);
     let mut state = seed;
     while sources.len() < take {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let v = (z % u64::from(num_vertices)) as u32;
+        let v = (rng::splitmix64(state) % u64::from(num_vertices)) as u32;
+        state = state.wrapping_add(rng::GOLDEN);
         if picked.insert(v) {
             sources.push(v);
         }

@@ -5,11 +5,8 @@
 //! graphs also serve as ablation inputs for load-balance experiments,
 //! since uniform degrees remove skew entirely.
 
+use graphmaze_graph::rng::{splitmix64, SmallRng};
 use graphmaze_graph::{EdgeList, VertexId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use crate::rmat::splitmix64_pub as splitmix64;
 
 /// Generates `num_edges` uniformly random directed edges over
 /// `num_vertices` vertices (duplicates/self-loops possible; normalize with
@@ -23,8 +20,8 @@ pub fn generate(num_vertices: u64, num_edges: u64, seed: u64) -> EdgeList {
     let mut rng = SmallRng::seed_from_u64(splitmix64(seed));
     let mut edges = Vec::with_capacity(num_edges as usize);
     for _ in 0..num_edges {
-        let s = rng.gen_range(0..num_vertices) as VertexId;
-        let d = rng.gen_range(0..num_vertices) as VertexId;
+        let s = rng.below(num_vertices) as VertexId;
+        let d = rng.below(num_vertices) as VertexId;
         edges.push((s, d));
     }
     EdgeList::from_edges(num_vertices, edges).expect("ids in range")

@@ -12,6 +12,7 @@
 //!    marginal (mean ≈ 3.6) with a per-edge hash, keeping the generator
 //!    deterministic and parallel-safe.
 
+use graphmaze_graph::rng::{splitmix64, GOLDEN};
 use graphmaze_graph::{RatingsGraph, VertexId, Weight};
 
 use crate::rmat::{self, RmatConfig, RmatParams};
@@ -50,9 +51,7 @@ impl RatingsGenConfig {
 /// Deterministically maps an edge to a star rating in `1.0..=5.0`.
 #[inline]
 fn star_for(u: VertexId, v: VertexId, seed: u64) -> Weight {
-    let h = rmat::splitmix64_pub(
-        seed ^ (u64::from(u) << 32 | u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
+    let h = splitmix64(seed ^ (u64::from(u) << 32 | u64::from(v)).wrapping_mul(GOLDEN));
     // map to [0,1)
     let r = (h >> 11) as f64 / (1u64 << 53) as f64;
     let mut acc = 0.0;

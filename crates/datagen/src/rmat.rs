@@ -7,13 +7,12 @@
 //! straight from §4.1.2.
 //!
 //! Determinism: edges are generated in fixed 64 K-edge blocks, each block
-//! seeded by `splitmix(seed, block_index)`, so output is identical for any
-//! thread count.
+//! seeded by `splitmix64(seed ^ block_index << 1)`, so output is
+//! identical for any thread count.
 
 use graphmaze_graph::par::par_for_chunks;
+use graphmaze_graph::rng::{splitmix64, SmallRng};
 use graphmaze_graph::{EdgeList, VertexId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Quadrant probabilities of the recursive matrix.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -112,20 +111,6 @@ impl RmatConfig {
     }
 }
 
-/// SplitMix64 — tiny, high-quality seed mixer (public-domain constants).
-#[inline]
-pub fn splitmix64_pub(x: u64) -> u64 {
-    splitmix64(x)
-}
-
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Feistel-style reversible id scramble on `scale` bits: a pseudorandom
 /// permutation of `0..2^scale` without materializing it.
 #[inline]
@@ -158,7 +143,7 @@ fn gen_edge(rng: &mut SmallRng, scale: u32, p: RmatParams) -> (u64, u64) {
     for _ in 0..scale {
         src <<= 1;
         dst <<= 1;
-        let r: f64 = rng.gen();
+        let r = rng.unit_f64();
         if r < p.a {
             // top-left
         } else if r < ab {

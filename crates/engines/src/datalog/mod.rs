@@ -12,10 +12,8 @@
 //! the actual SociaLite rules from the paper.
 
 pub mod eval;
-pub mod program;
 pub mod socialite;
 pub mod table;
 
 pub use eval::{Agg, SocialiteRuntime};
-pub use program::{eval_recursive, eval_rule, Rule, ValueExpr};
 pub use table::{EdgeTable, VertexTable};

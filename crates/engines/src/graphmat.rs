@@ -26,7 +26,7 @@
 //! stream with prefetch and overlap ([`ExecProfile::graphmat`]), the
 //! frontier broadcasts down grid columns and sparse partial results
 //! reduce to the row diagonal through [`Router`], exactly the
-//! communication pattern of `DistMatrix::spmspv_transpose_opt`.
+//! communication pattern of `DistMatrix::spmspv_transpose`.
 
 use graphmaze_cluster::{ClusterSpec, ExecProfile, Router, Sim, SimError};
 use graphmaze_graph::csr::Csr;

@@ -93,7 +93,7 @@ fn bfs_with_compression(
     sim.phase("spmspv:frontier");
     while !frontier.is_empty() {
         level += 1;
-        let product = m.spmspv_transpose_opt(
+        let product = m.spmspv_transpose(
             &mut sim,
             &frontier,
             1,
@@ -168,7 +168,7 @@ pub fn msbfs(
         let mut level = 0u32;
         while !frontier.is_empty() {
             level += 1;
-            let product = m.spmspv_transpose_opt(
+            let product = m.spmspv_transpose(
                 &mut sim,
                 &frontier,
                 0, // matrix entries are boolean; ⊗ passes the mask through

@@ -167,24 +167,14 @@ impl<'a> DistMatrix<'a> {
     /// `{(u, value)}` — the BFS kernel (paper eq. (10)). Returns the
     /// sparse result sorted by index. Work is proportional to the edges
     /// out of `x`'s support; communication to the support sizes.
-    pub fn spmspv_transpose<T: Copy>(
-        &self,
-        sim: &mut Sim,
-        x: &[(VertexId, T)],
-        entry: T,
-        semiring: &Semiring<T>,
-        elem_bytes: u64,
-    ) -> Vec<(VertexId, T)> {
-        self.spmspv_transpose_opt(sim, x, entry, semiring, elem_bytes, false)
-    }
-
-    /// [`DistMatrix::spmspv_transpose`] with optional **bit-vector
-    /// compression of the frontier indices** — the §6.2 roadmap item for
-    /// CombBLAS BFS ("needs to use data structures such as bitvectors
-    /// for compression in order to improve BFS performance"). The index
-    /// sets are really encoded (delta or bitmap, whichever is smaller).
+    ///
+    /// `compress_indices` turns on **bit-vector compression of the
+    /// frontier indices** — the §6.2 roadmap item for CombBLAS BFS
+    /// ("needs to use data structures such as bitvectors for compression
+    /// in order to improve BFS performance"). The index sets are really
+    /// encoded (delta or bitmap, whichever is smaller).
     #[allow(clippy::too_many_arguments)]
-    pub fn spmspv_transpose_opt<T: Copy>(
+    pub fn spmspv_transpose<T: Copy>(
         &self,
         sim: &mut Sim,
         x: &[(VertexId, T)],
@@ -437,7 +427,7 @@ mod tests {
         let m = DistMatrix::new(&c, 1).unwrap();
         let mut s = sim(1);
         let x = vec![(0u32, 1.0f64), (1, 1.0)];
-        let y = m.spmspv_transpose(&mut s, &x, 1.0, &PLUS_TIMES, 8);
+        let y = m.spmspv_transpose(&mut s, &x, 1.0, &PLUS_TIMES, 8, false);
         assert_eq!(y, vec![(1, 1.0), (2, 2.0), (3, 1.0)]);
     }
 
@@ -448,7 +438,7 @@ mod tests {
         let mut s = sim(1);
         let x = vec![(0u32, 0u32)];
         // level 1 = neighbors of 0 with distance 0 (+ edge weight 1 via entry)
-        let y = m.spmspv_transpose(&mut s, &x, 1, &MIN_PLUS, 4);
+        let y = m.spmspv_transpose(&mut s, &x, 1, &MIN_PLUS, 4, false);
         assert_eq!(y, vec![(1, 1), (2, 1)]);
     }
 
@@ -531,15 +521,14 @@ mod tests {
 
     #[test]
     fn accumulator_pass_matches_the_hashed_reference_bit_for_bit() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use graphmaze_graph::rng::SmallRng;
         let mut rng = SmallRng::seed_from_u64(2302);
         let n = 200u32;
         // a DAG-oriented random graph with a dense head, so rows overlap
         let mut edges = Vec::new();
         for u in 0..n {
             for v in u + 1..n {
-                if rng.gen_range(0..100u32) < if u < 8 { 60 } else { 4 } {
+                if rng.below(100) < if u < 8 { 60 } else { 4 } {
                     edges.push((u, v));
                 }
             }

@@ -50,13 +50,6 @@ pub const OR_PASS: Semiring<u64> = Semiring {
     mul: |_, x| x,
 };
 
-/// The counting semiring over `u64` (path counting / SpGEMM for TC).
-pub const PLUS_TIMES_U64: Semiring<u64> = Semiring {
-    zero: 0,
-    add: |a, b| a + b,
-    mul: |a, b| a * b,
-};
-
 /// The gather half of a [`Semiring`] generalized past `Copy`: an
 /// associative ⊕ with an identity element over an arbitrary `Clone`
 /// message type. This is the algebra a gather–apply–scatter vertex
@@ -136,25 +129,5 @@ mod tests {
         let words = [vec![0b01u64, 0b10], vec![0b10u64, 0b10]];
         assert_eq!(fold(&or_words(2), &words), vec![0b11u64, 0b10]);
         assert_eq!(fold(&or_words(2), &[]), vec![0u64, 0]);
-    }
-
-    #[test]
-    fn semiring_laws_hold_for_plus_times_u64() {
-        // associativity & identity on sample values
-        let s = PLUS_TIMES_U64;
-        for a in [0u64, 1, 7] {
-            assert_eq!((s.add)(a, s.zero), a);
-            for b in [2u64, 5] {
-                for c in [3u64, 11] {
-                    assert_eq!((s.add)((s.add)(a, b), c), (s.add)(a, (s.add)(b, c)));
-                    assert_eq!((s.mul)((s.mul)(a, b), c), (s.mul)(a, (s.mul)(b, c)));
-                    // distributivity
-                    assert_eq!(
-                        (s.mul)(a, (s.add)(b, c)),
-                        (s.add)((s.mul)(a, b), (s.mul)(a, c))
-                    );
-                }
-            }
-        }
     }
 }

@@ -174,6 +174,11 @@ pub fn triangles(oriented: &Csr, nodes: usize) -> Result<(u64, RunReport), SimEr
     Ok((count, sim.finish()))
 }
 
+/// Blocks per side of the SGD chunk schedule. The schedule fixes the
+/// update order and so the answer; it is a constant, not the host's core
+/// count, so the factors are the same on every machine.
+const SGD_BLOCKS: usize = 2;
+
 /// Collaborative filtering by true **SGD**: "Galois is the only framework
 /// that implements SGD (not just GD) in a fashion similar to that of the
 /// native implementation", using the same n² uniform 2-D chunk schedule
@@ -185,7 +190,6 @@ pub fn cf_sgd(
     nodes: usize,
 ) -> Result<(Factors, Vec<f64>, RunReport), SimError> {
     let mut sim = single_node_sim(nodes)?;
-    let p_blocks = graphmaze_graph::par::default_threads().clamp(2, 8);
     sim.alloc(
         0,
         (u64::from(g.num_users()) + u64::from(g.num_items())) * cfg.k as u64 * 8
@@ -195,20 +199,20 @@ pub fn cf_sgd(
     // the native n² chunk schedule, driven by Galois work items: each
     // sub-step's diagonal blocks are independent tasks, each rating a
     // lock-free (p_u, q_v) update (§3.2)
-    let blocks = DiagonalBlocks::build(g, p_blocks);
+    let blocks = DiagonalBlocks::build(g, SGD_BLOCKS);
     let mut factors = Factors::init(g.num_users(), g.num_items(), cfg);
     let mut history = Vec::with_capacity(epochs as usize);
     let mut gamma = cfg.gamma0;
     let k = cfg.k as u64;
     sim.phase("sgd:epoch");
     for _ in 0..epochs {
-        for s in 0..p_blocks {
+        for s in 0..SGD_BLOCKS {
             // tasks of this sub-step touch disjoint (user, item) blocks;
             // process in fixed order — identical result to the threaded
             // native schedule, as the blocks never overlap
-            for w in 0..p_blocks {
-                let ib = (w + s) % p_blocks;
-                for &(u, v, r) in blocks.bucket(w, ib, p_blocks) {
+            for w in 0..SGD_BLOCKS {
+                let ib = (w + s) % SGD_BLOCKS;
+                for &(u, v, r) in blocks.bucket(w, ib, SGD_BLOCKS) {
                     let pu = &mut factors.p[u as usize * cfg.k..(u as usize + 1) * cfg.k];
                     let qv = &mut factors.q[v as usize * cfg.k..(v as usize + 1) * cfg.k];
                     cf::sgd_update(pu, qv, r, gamma, cfg.lambda);
@@ -332,8 +336,7 @@ mod tests {
             step_decay: 0.98,
             seed: 9,
         };
-        let p_blocks = graphmaze_graph::par::default_threads().clamp(2, 8);
-        let (native_f, _) = graphmaze_native::cf::sgd(&g, &cfg, 3, p_blocks);
+        let (native_f, _) = graphmaze_native::cf::sgd(&g, &cfg, 3, 2);
         let (galois_f, _, _) = cf_sgd(&g, &cfg, 3, 1).unwrap();
         assert_eq!(native_f, galois_f);
     }

@@ -13,10 +13,6 @@ use graphmaze_cluster::ExecProfile;
 
 use super::engine::EngineConfig;
 
-/// JVM heap overhead charged per buffered message object (the value
-/// `ExecProfile::giraph().router` declares).
-pub const MESSAGE_OBJECT_OVERHEAD: u64 = 48;
-
 /// Giraph's engine configuration. `splits` is the superstep-splitting
 /// factor (1 = the stock runtime, which exhausts memory on triangle
 /// counting at scale; the paper's fix uses 100 — "message passing

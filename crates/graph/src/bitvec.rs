@@ -413,13 +413,10 @@ mod tests {
     /// nothing. Exercises lengths that are not word multiples.
     #[test]
     fn concurrent_fetch_or_converges_to_sequential_or_image() {
-        // SplitMix64, the workspace-standard deterministic generator
         fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            let z = crate::rng::splitmix64(*state);
+            *state = state.wrapping_add(crate::rng::GOLDEN);
+            z
         }
         for len in [1usize, 63, 64, 65, 127, 1000] {
             let words = len.div_ceil(64);

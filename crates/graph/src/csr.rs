@@ -426,8 +426,7 @@ mod tests {
     use super::*;
 
     use crate::fixtures::fig2_edges as fig2;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use crate::rng::SmallRng;
 
     #[test]
     fn csr_matches_fig2_adjacency() {
@@ -481,7 +480,7 @@ mod tests {
         (0..n)
             .filter(|&v| {
                 let edge = v % 64 == 0 || v % 64 == 63 || v == n - 1;
-                rng.gen_range(0..256u32) < if edge { keep.max(128) } else { keep }
+                (rng.below(256) as u32) < if edge { keep.max(128) } else { keep }
             })
             .collect()
     }

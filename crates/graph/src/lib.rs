@@ -17,7 +17,9 @@
 //! * collaborative filtering uses a **bipartite ratings graph**
 //!   ([`RatingsGraph`]);
 //! * intra-node parallelism uses scoped threads over contiguous chunks
-//!   ([`par`]), mirroring the paper's OpenMP usage.
+//!   ([`par`]), mirroring the paper's OpenMP usage;
+//! * every generator, source draw and fault decision reads one
+//!   pseudo-random stream ([`rng`]).
 //!
 //! Vertex ids are `u32` ([`VertexId`]): the paper's largest graphs have
 //! ~537 M vertices, within `u32` range; edge counts use `u64`.
@@ -32,6 +34,7 @@ pub mod fixtures;
 pub mod io;
 pub mod msbfs;
 pub mod par;
+pub mod rng;
 
 pub use bipartite::RatingsGraph;
 pub use bitvec::{AtomicBitVec, BitVec};

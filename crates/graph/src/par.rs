@@ -5,16 +5,9 @@
 //! index chunks ([`par_for_chunks`]), and one task per worker
 //! ([`par_tasks`]) for kernels that schedule their own rows.
 
-/// Returns the default worker count: `GRAPHMAZE_THREADS` env override, else
-/// the machine's available parallelism, else 1.
+/// Returns the default worker count: the machine's available parallelism,
+/// else 1. No answer depends on it — only how the work is spread.
 pub fn default_threads() -> usize {
-    if let Ok(s) = std::env::var("GRAPHMAZE_THREADS") {
-        if let Ok(n) = s.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -22,6 +22,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use graphmaze_core::flatjson::parse_flat_json;
+use graphmaze_core::graph::rng;
 use graphmaze_core::RunRequest;
 
 use crate::protocol::{encode_run_request, is_cache_hit};
@@ -58,16 +59,14 @@ impl Default for LoadgenConfig {
     }
 }
 
-/// SplitMix64 — tiny, seedable, and good enough for query sampling.
+/// A SplitMix64 stream — seedable, and good enough for query sampling.
 struct SplitMix64(u64);
 
 impl SplitMix64 {
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = rng::splitmix64(self.0);
+        self.0 = self.0.wrapping_add(rng::GOLDEN);
+        z
     }
 
     /// Uniform in `[0, 1)`.
@@ -326,7 +325,7 @@ pub fn run(cfg: &LoadgenConfig, population: &[RunRequest]) -> std::io::Result<Lo
                     // the invariant the telemetry determinism tests pin
                     let mut rng = SplitMix64(
                         cfg.seed
-                            .wrapping_add((idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                            .wrapping_add((idx as u64).wrapping_mul(rng::GOLDEN)),
                     );
                     let mut draw = || rng.next_f64();
                     let line = &encoded[zipf.sample(&mut draw)];
