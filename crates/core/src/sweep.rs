@@ -649,11 +649,7 @@ impl Sweep {
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
+            match open_journal(path) {
                 Ok(f) => Some(Mutex::new(f)),
                 Err(e) => {
                     eprintln!("warning: cannot open journal {}: {e}", path.display());
@@ -1150,6 +1146,22 @@ fn entry_outcome(m: &HashMap<String, String>) -> Option<Result<RunOutcome, CellE
         ))),
         _ => None,
     }
+}
+
+/// Opens the journal for appending. A run killed mid-write leaves a torn
+/// last line, which [`load_journal`] skips; the file is first cut back to
+/// its last `\n` so the next line does not glue onto the fragment.
+fn open_journal(path: &Path) -> std::io::Result<std::fs::File> {
+    let f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    let body = std::fs::read(path)?;
+    if body.last().is_some_and(|&b| b != b'\n') {
+        let whole_lines = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        f.set_len(whole_lines as u64)?;
+    }
+    Ok(f)
 }
 
 /// Loads a journal into `key → outcome`, silently skipping malformed

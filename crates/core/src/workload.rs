@@ -27,13 +27,20 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Builds the three graph views from a raw edge list.
+    /// Builds the three graph views from a raw edge list: the directed
+    /// pair as given; the symmetrized and the oriented views each as one
+    /// row-bucketed pass ([`Csr::from_pairs_dedup`]) that drops self-loops
+    /// and duplicates.
     pub fn from_edge_list(name: impl Into<String>, el: &EdgeList) -> Self {
         let directed = DirectedGraph::from_edge_list(el);
-        let mut sym = el.clone();
-        sym.remove_self_loops();
-        sym.symmetrize();
-        let undirected = UndirectedGraph::from_symmetric_edge_list(&sym);
+        let both_ways = el
+            .edges()
+            .iter()
+            .filter(|&&(s, d)| s != d)
+            .flat_map(|&(s, d)| [(s, d), (d, s)]);
+        let undirected = UndirectedGraph {
+            adj: Csr::from_pairs_dedup(el.num_vertices(), both_ways),
+        };
         let oriented = orient_and_sort(el);
         Workload {
             name: name.into(),

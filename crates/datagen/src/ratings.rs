@@ -12,6 +12,7 @@
 //!    marginal (mean ≈ 3.6) with a per-edge hash, keeping the generator
 //!    deterministic and parallel-safe.
 
+use graphmaze_graph::csr::Csr;
 use graphmaze_graph::rng::{splitmix64, GOLDEN};
 use graphmaze_graph::{RatingsGraph, VertexId, Weight};
 
@@ -79,23 +80,24 @@ pub fn generate(cfg: &RatingsGenConfig) -> RatingsGraph {
         scramble_ids: true,
         threads: 0,
     };
-    let raw = rmat::generate(&rcfg);
-
-    // Fold columns: item = col % num_items; logical OR = dedup.
-    let mut cells: Vec<(VertexId, VertexId)> = raw
-        .edges()
-        .iter()
-        .map(|&(row, col)| (row, col % cfg.num_items))
-        .collect();
-    cells.sort_unstable();
-    cells.dedup();
+    // Fold columns: item = col % num_items; logical OR = dedup. Each row
+    // comes out sorted and duplicate-free, so the cells are in (row, item)
+    // order without a global sort.
+    let cells = {
+        let raw = rmat::generate(&rcfg);
+        let folded = raw
+            .edges()
+            .iter()
+            .map(|&(row, col)| (row, col % cfg.num_items));
+        Csr::from_pairs_dedup(raw.num_vertices(), folded)
+    };
 
     // Min-degree filter on both sides (single pass, as in the paper).
-    let n_rows = raw.num_vertices() as usize;
-    let mut row_deg = vec![0u32; n_rows];
+    let row_deg: Vec<u32> = (0..cells.num_vertices())
+        .map(|r| cells.degree(r as VertexId))
+        .collect();
     let mut col_deg = vec![0u32; cfg.num_items as usize];
-    for &(r, c) in &cells {
-        row_deg[r as usize] += 1;
+    for &c in cells.targets() {
         col_deg[c as usize] += 1;
     }
     let row_map = compact_ids(&row_deg, cfg.min_degree);
@@ -103,12 +105,14 @@ pub fn generate(cfg: &RatingsGenConfig) -> RatingsGraph {
     let num_users = row_map.iter().filter(|m| m.is_some()).count() as u32;
     let num_items = col_map.iter().filter(|m| m.is_some()).count() as u32;
 
-    let ratings: Vec<(VertexId, VertexId, Weight)> = cells
-        .iter()
-        .filter_map(|&(r, c)| {
-            let u = row_map[r as usize]?;
-            let v = col_map[c as usize]?;
-            Some((u, v, star_for(u, v, cfg.seed)))
+    let ratings: Vec<(VertexId, VertexId, Weight)> = (0..cells.num_vertices())
+        .filter_map(|r| Some((row_map[r]?, cells.neighbors(r as VertexId))))
+        .flat_map(|(u, items)| {
+            let col_map = &col_map;
+            items.iter().filter_map(move |&c| {
+                let v = col_map[c as usize]?;
+                Some((u, v, star_for(u, v, cfg.seed)))
+            })
         })
         .collect();
 

@@ -8,9 +8,26 @@
 //!
 //! Determinism: edges are generated in fixed 64 K-edge blocks, each block
 //! seeded by `splitmix64(seed ^ block_index << 1)`, so output is
-//! identical for any thread count.
+//! identical for any thread count. The blocks are handed to the workers
+//! as disjoint `&mut` slices by [`par_chunks_mut`], so the borrow checker
+//! proves them disjoint: this module holds no unchecked code.
+//!
+//! Two exact shortcuts keep generation cheap without moving one output bit:
+//!
+//! * *Integer quadrant thresholds.* Each level draws `bits = x >> 11`
+//!   (53 bits) and the uniform `r = bits · 2⁻⁵³`. That multiply is exact,
+//!   so for any f64 threshold `t`, `r < t` holds exactly when
+//!   `bits < ⌈t · 2⁵³⌉` (`bits` is an integer, and `t · 2⁵³` is exact
+//!   too). The three cumulative sums `A`, `A + B`, `A + B + C` become three
+//!   `u64` thresholds once per call, and the quadrant is two comparisons
+//!   combined with bit operations instead of three unpredictable branches.
+//! * *Scramble table.* The Feistel id scramble costs six `splitmix64`
+//!   calls per endpoint. It is a function of `(id, scale, seed)` alone, so
+//!   [`generate`] tabulates it once over all `2^scale` ids (4 bytes per
+//!   vertex, 1/32 of the edge array at edge factor 16) and each endpoint
+//!   becomes one lookup.
 
-use graphmaze_graph::par::par_for_chunks;
+use graphmaze_graph::par::par_chunks_mut;
 use graphmaze_graph::rng::{splitmix64, SmallRng};
 use graphmaze_graph::{EdgeList, VertexId};
 
@@ -133,32 +150,70 @@ fn scramble(v: u64, scale: u32, seed: u64) -> u64 {
     (hi << lo_bits) | lo
 }
 
-/// Generates one RMAT edge with the given RNG.
+/// `2⁵³`: a uniform draw is `bits · 2⁻⁵³` with `bits` the top 53 bits
+/// of one `u64`.
+const UNIT: f64 = (1u64 << 53) as f64;
+
+/// The quadrant boundaries `A`, `A + B` and `A + B + C` as integer
+/// thresholds on the 53-bit draw: `bits · 2⁻⁵³ < t` exactly when
+/// `bits < ⌈t · 2⁵³⌉` (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Thresholds {
+    a: u64,
+    ab: u64,
+    abc: u64,
+}
+
+impl Thresholds {
+    /// The thresholds of `p`, from the same f64 sums the f64 compare uses.
+    fn of(p: RmatParams) -> Self {
+        let ab = p.a + p.b;
+        let abc = ab + p.c;
+        let t = |x: f64| (x * UNIT).ceil() as u64;
+        Thresholds {
+            a: t(p.a),
+            ab: t(ab),
+            abc: t(abc),
+        }
+    }
+
+    /// The `(src, dst)` bit pair of the quadrant a draw of `bits` selects:
+    /// top-left `(0, 0)` below `A`, top-right `(0, 1)` below `A + B`,
+    /// bottom-left `(1, 0)` below `A + B + C`, else bottom-right `(1, 1)`.
+    #[inline]
+    fn quadrant(&self, bits: u64) -> (u64, u64) {
+        let ge_a = u64::from(bits >= self.a);
+        let ge_ab = u64::from(bits >= self.ab);
+        let ge_abc = u64::from(bits >= self.abc);
+        (ge_ab, (ge_a ^ ge_ab) | ge_abc)
+    }
+}
+
+/// Generates one RMAT edge with the given RNG: one 53-bit draw per level.
 #[inline]
-fn gen_edge(rng: &mut SmallRng, scale: u32, p: RmatParams) -> (u64, u64) {
+fn gen_edge(rng: &mut SmallRng, scale: u32, t: &Thresholds) -> (u64, u64) {
     let mut src = 0u64;
     let mut dst = 0u64;
-    let ab = p.a + p.b;
-    let abc = ab + p.c;
     for _ in 0..scale {
-        src <<= 1;
-        dst <<= 1;
-        let r = rng.unit_f64();
-        if r < p.a {
-            // top-left
-        } else if r < ab {
-            dst |= 1;
-        } else if r < abc {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        let (s, d) = t.quadrant(rng.next_u64() >> 11);
+        src = src << 1 | s;
+        dst = dst << 1 | d;
     }
     (src, dst)
 }
 
 const BLOCK: usize = 1 << 16;
+
+/// [`scramble`] tabulated over every id of `0..2^scale`.
+fn scramble_table(scale: u32, seed: u64, threads: usize) -> Vec<VertexId> {
+    let mut table = vec![0 as VertexId; 1usize << scale];
+    par_chunks_mut(&mut table, BLOCK, threads, |b, block| {
+        for (i, id) in block.iter_mut().enumerate() {
+            *id = scramble((b * BLOCK + i) as u64, scale, seed) as VertexId;
+        }
+    });
+    table
+}
 
 /// Generates the raw RMAT edge list (duplicates and self-loops included —
 /// normalize with [`EdgeList::dedup`] etc. as each algorithm requires).
@@ -178,59 +233,25 @@ pub fn generate(cfg: &RmatConfig) -> EdgeList {
     } else {
         cfg.threads
     };
+    let thresholds = Thresholds::of(cfg.params);
+    let ids = if cfg.scramble_ids {
+        scramble_table(cfg.scale, cfg.seed, threads)
+    } else {
+        Vec::new()
+    };
     let mut edges = vec![(0 as VertexId, 0 as VertexId); m];
-    let nblocks = m.div_ceil(BLOCK);
-    {
-        let edges_slices: Vec<&mut [(VertexId, VertexId)]> = edges.chunks_mut(BLOCK).collect();
-        let edges_cells: Vec<parking_slot::SliceCell<'_>> = edges_slices
-            .into_iter()
-            .map(parking_slot::SliceCell::new)
-            .collect();
-        par_for_chunks(nblocks, threads, |_, range| {
-            for b in range {
-                let mut rng = SmallRng::seed_from_u64(splitmix64(cfg.seed ^ (b as u64) << 1));
-                let out = edges_cells[b].get_mut();
-                for e in out.iter_mut() {
-                    let (s, d) = gen_edge(&mut rng, cfg.scale, cfg.params);
-                    let (s, d) = if cfg.scramble_ids {
-                        (
-                            scramble(s, cfg.scale, cfg.seed),
-                            scramble(d, cfg.scale, cfg.seed),
-                        )
-                    } else {
-                        (s, d)
-                    };
-                    *e = (s as VertexId, d as VertexId);
-                }
-            }
-        });
-    }
+    par_chunks_mut(&mut edges, BLOCK, threads, |b, block| {
+        let mut rng = SmallRng::seed_from_u64(splitmix64(cfg.seed ^ (b as u64) << 1));
+        for e in block.iter_mut() {
+            let (s, d) = gen_edge(&mut rng, cfg.scale, &thresholds);
+            *e = if cfg.scramble_ids {
+                (ids[s as usize], ids[d as usize])
+            } else {
+                (s as VertexId, d as VertexId)
+            };
+        }
+    });
     EdgeList::from_edges(cfg.num_vertices(), edges).expect("generated ids in range")
-}
-
-/// Tiny unsafe cell wrapper letting disjoint mutable chunks be filled from
-/// scoped threads. Each chunk is owned by exactly one block index.
-mod parking_slot {
-    use std::cell::UnsafeCell;
-
-    pub struct SliceCell<'a>(UnsafeCell<&'a mut [(u32, u32)]>);
-
-    // SAFETY: each SliceCell wraps a disjoint chunk and is accessed by at
-    // most one worker (block indices are partitioned across threads).
-    unsafe impl Sync for SliceCell<'_> {}
-
-    impl<'a> SliceCell<'a> {
-        pub fn new(s: &'a mut [(u32, u32)]) -> Self {
-            SliceCell(UnsafeCell::new(s))
-        }
-
-        /// Callers must ensure exclusive access per block (par_for_chunks
-        /// assigns each index to exactly one worker).
-        #[allow(clippy::mut_from_ref)]
-        pub fn get_mut(&self) -> &mut [(u32, u32)] {
-            unsafe { *self.0.get() }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,12 +312,70 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let mut c = cfg(9);
-        c.threads = 1;
-        let a = generate(&c);
-        c.threads = 4;
-        let b = generate(&c);
-        assert_eq!(a.edges(), b.edges());
+        for scramble_ids in [false, true] {
+            let mut c = cfg(9);
+            c.scramble_ids = scramble_ids;
+            c.edge_factor = 300; // several 64 K-edge blocks
+            c.threads = 1;
+            let a = generate(&c);
+            for threads in [2, 3, 4, 8] {
+                c.threads = threads;
+                let b = generate(&c);
+                assert_eq!(a.edges(), b.edges(), "threads {threads}");
+            }
+        }
+    }
+
+    /// The branching f64 select the integer thresholds replace.
+    fn quadrant_f64(p: RmatParams, bits: u64) -> (u64, u64) {
+        let r = bits as f64 * (1.0 / UNIT);
+        let ab = p.a + p.b;
+        let abc = ab + p.c;
+        if r < p.a {
+            (0, 0)
+        } else if r < ab {
+            (0, 1)
+        } else if r < abc {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_select_exactly_the_f64_quadrant() {
+        let exact = RmatParams {
+            a: 0.5,
+            b: 0.25,
+            c: 0.125,
+        };
+        for p in [
+            RmatParams::GRAPH500,
+            RmatParams::TRIANGLE,
+            RmatParams::RATINGS,
+            exact,
+        ] {
+            let t = Thresholds::of(p);
+            assert!(t.a <= t.ab && t.ab <= t.abc, "{p:?}");
+            let max = (1u64 << 53) - 1;
+            for th in [t.a, t.ab, t.abc] {
+                for bits in [0, th.saturating_sub(1), th, th + 1, max] {
+                    let bits = bits.min(max);
+                    assert_eq!(
+                        t.quadrant(bits),
+                        quadrant_f64(p, bits),
+                        "{p:?} at bits {bits:#x}"
+                    );
+                }
+            }
+        }
+        // the power-of-two preset lands exactly on integer thresholds
+        let t = Thresholds::of(exact);
+        assert_eq!(
+            (t.a, t.ab, t.abc),
+            (1 << 52, 3 << 51, 7 << 50),
+            "exact thresholds"
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! stores **incoming** edges in CSR (each vertex pulls the ranks of its
 //! in-neighbors); BFS and triangle counting use outgoing adjacency.
 
+use crate::par::{default_threads, par_chunks_mut};
 use crate::{EdgeList, VertexId, Weight, WeightedEdgeList};
 
 /// A CSR adjacency structure: `targets[offsets[v]..offsets[v+1]]` are the
@@ -42,6 +43,75 @@ impl Csr {
             targets[*c as usize] = d;
             *c += 1;
         }
+        Csr { offsets, targets }
+    }
+
+    /// Builds a CSR whose every adjacency list is sorted ascending and
+    /// duplicate-free from the directed pairs `pairs` yields (it is walked
+    /// twice): a counting pass sizes the rows, a scatter fills them, and
+    /// each row is sorted and deduplicated, compacting in place. The
+    /// result equals [`Csr::from_edges`] over the sorted, deduplicated
+    /// pair list, without sorting or copying that list. Rows are sorted on
+    /// [`default_threads`] scoped threads; the result does not depend on
+    /// their number.
+    ///
+    /// ```
+    /// use graphmaze_graph::csr::Csr;
+    /// let pairs = [(1, 3), (0, 2), (1, 0), (1, 3), (0, 1)];
+    /// let g = Csr::from_pairs_dedup(4, pairs.iter().copied());
+    /// assert_eq!(g.neighbors(0), &[1, 2]);
+    /// assert_eq!(g.neighbors(1), &[0, 3]);
+    /// assert_eq!(g.num_edges(), 4);
+    /// ```
+    pub fn from_pairs_dedup<I>(num_vertices: u64, pairs: I) -> Self
+    where
+        I: Iterator<Item = (VertexId, VertexId)> + Clone,
+    {
+        let n = usize::try_from(num_vertices).expect("vertex count fits usize");
+        let mut offsets = vec![0u64; n + 1];
+        pairs
+            .clone()
+            .for_each(|(s, _)| offsets[s as usize + 1] += 1);
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0 as VertexId; offsets[n] as usize];
+        pairs.for_each(|(s, d)| {
+            let c = &mut cursor[s as usize];
+            targets[*c as usize] = d;
+            *c += 1;
+        });
+        // sort and dedup the rows in parallel (they are disjoint slices),
+        // keeping each row's distinct count in `cursor`
+        let mut rows = Vec::with_capacity(n);
+        let mut rest = targets.as_mut_slice();
+        for v in 0..n {
+            let (row, tail) = rest.split_at_mut((offsets[v + 1] - offsets[v]) as usize);
+            rows.push(row);
+            rest = tail;
+        }
+        par_chunks_mut(&mut rows, SORT_BLOCK_ROWS, default_threads(), |_, block| {
+            for row in block {
+                row.sort_unstable();
+                let kept = dedup_sorted(row);
+                *row = &mut std::mem::take(row)[..kept];
+            }
+        });
+        for (c, row) in cursor.iter_mut().zip(rows) {
+            *c = row.len() as u64;
+        }
+        // slide each row's distinct prefix to the front
+        let (mut start, mut kept) = (0usize, 0usize);
+        for (v, &k) in cursor.iter().enumerate() {
+            let k = k as usize;
+            targets.copy_within(start..start + k, kept);
+            start = offsets[v + 1] as usize;
+            kept += k;
+            offsets[v + 1] = kept as u64;
+        }
+        targets.truncate(kept);
+        targets.shrink_to_fit();
         Csr { offsets, targets }
     }
 
@@ -155,6 +225,22 @@ impl Csr {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Rows per block [`Csr::from_pairs_dedup`] hands a worker to sort.
+const SORT_BLOCK_ROWS: usize = 1024;
+
+/// Moves the distinct values of an ascending `row` to its front, in
+/// order, and returns how many there are.
+fn dedup_sorted(row: &mut [VertexId]) -> usize {
+    let mut kept = 0;
+    for i in 0..row.len() {
+        if kept == 0 || row[i] != row[kept - 1] {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// Counts the common elements of two ascending-sorted adjacency lists by
@@ -517,6 +603,21 @@ mod tests {
             marks.unmark(&row);
         }
         assert_eq!(marks.probe(&everyone), 0);
+    }
+
+    #[test]
+    fn from_pairs_dedup_equals_sort_dedup_then_counting_sort() {
+        let mut rng = SmallRng::seed_from_u64(25);
+        for (n, m) in [(1u32, 5usize), (7, 0), (50, 400), (3000, 30000)] {
+            let mut id = || rng.below(u64::from(n)) as VertexId;
+            let pairs: Vec<(VertexId, VertexId)> = (0..m).map(|_| (id(), id())).collect();
+            let mut sorted = pairs.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let want = Csr::from_edges(u64::from(n), &sorted);
+            let got = Csr::from_pairs_dedup(u64::from(n), pairs.iter().copied());
+            assert_eq!(got, want, "n={n} m={m}");
+        }
     }
 
     #[test]

@@ -37,11 +37,12 @@ const ROW_BLOCK_EDGES: u64 = 2048;
 /// the paper applies to make "the implementations efficient on all
 /// frameworks" (§4.1.2).
 pub fn orient_and_sort(el: &EdgeList) -> Csr {
-    let mut oriented = el.clone();
-    oriented.orient_by_id();
-    let mut csr = Csr::from_edge_list(&oriented);
-    csr.sort_neighbors();
-    csr
+    let oriented = el
+        .edges()
+        .iter()
+        .filter(|&&(s, d)| s != d)
+        .map(|&(s, d)| (s.min(d), s.max(d)));
+    Csr::from_pairs_dedup(el.num_vertices(), oriented)
 }
 
 /// Counts the triangles of a DAG-oriented, sorted-adjacency CSR:

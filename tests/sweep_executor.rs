@@ -187,6 +187,34 @@ fn resume_runs_only_the_missing_cells() {
 }
 
 #[test]
+fn resume_after_a_torn_last_line_reruns_that_cell_once() {
+    let journal = temp_journal("torn");
+    let _ = std::fs::remove_file(&journal);
+    let sweep = small_sweep();
+    let opts = |resume| SweepOptions {
+        jobs: 1,
+        journal: Some(journal.clone()),
+        resume,
+        cell_timeout: None,
+        telemetry: None,
+    };
+    sweep.execute(&opts(false), &WorkloadCache::new(), &SilentObserver);
+    // a run killed mid-write: the last line loses its tail and its `\n`
+    let body = std::fs::read(&journal).unwrap();
+    std::fs::write(&journal, &body[..body.len() - 20]).unwrap();
+
+    let first = sweep.execute(&opts(true), &WorkloadCache::new(), &SilentObserver);
+    assert_eq!((first.ran, first.resumed), (1, sweep.len() - 1));
+    let second = sweep.execute(&opts(true), &WorkloadCache::new(), &SilentObserver);
+    assert_eq!(
+        (second.ran, second.resumed),
+        (0, sweep.len()),
+        "the re-run cell's line must survive the torn fragment"
+    );
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
 fn panicking_cell_fails_alone() {
     let params = BenchParams::default();
     let spec = WorkloadSpec::Rmat {
