@@ -512,7 +512,8 @@ pub fn related_work(cfg: &ReproConfig) -> String {
 
 /// §6.1.1 ablations of design choices: partitioning balance, the
 /// compression codec's effect on bytes, overlap's effect on triangle-
-/// counting buffer memory, and the direction-optimizing BFS switch.
+/// counting buffer memory, and GraphLab hub replication's effect on
+/// wire bytes.
 pub fn ablations(cfg: &ReproConfig) -> String {
     let mut out = String::from("Design-choice ablations (§6.1.1)\n\n");
     let wl = cfg.workload(&WorkloadSpec::Rmat {
@@ -594,39 +595,7 @@ pub fn ablations(cfg: &ReproConfig) -> String {
         fmt_bytes(with_overlap.peak_mem_bytes as f64),
     ));
 
-    // (4) direction-optimizing BFS: edges examined
-    use graphmaze_core::native::bfs::bfs_with;
-    let und = wl.undirected().expect("undirected");
-    let source = (0..und.num_vertices() as u32)
-        .max_by_key(|&v| und.adj.degree(v))
-        .unwrap();
-    let t0 = std::time::Instant::now();
-    let a = bfs_with(und, source, 4, true);
-    let t_opt = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let b = bfs_with(und, source, 4, false);
-    let t_plain = t0.elapsed();
-    assert_eq!(a, b);
-    out.push_str(&format!(
-        "(4) direction-optimizing BFS — real wall-clock {:?} vs top-down-only {:?} (identical results)\n",
-        t_opt, t_plain
-    ));
-
-    // (5) bit-vector triangle counting: real wall-clock
-    use graphmaze_core::native::triangle::triangles_with;
-    let t0 = std::time::Instant::now();
-    let c1 = triangles_with(tg, 4, true);
-    let t_bv = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let c2 = triangles_with(tg, 4, false);
-    let t_merge = t0.elapsed();
-    assert_eq!(c1, c2);
-    out.push_str(&format!(
-        "(5) TC bit-vector hubs — real wall-clock {:?} vs merge-only {:?} (identical counts)\n",
-        t_bv, t_merge
-    ));
-
-    // (6) GraphLab hub replication: wire traffic with/without
+    // (4) GraphLab hub replication: wire traffic with/without
     {
         use graphmaze_core::engines::vertex::engine::EngineConfig;
         use graphmaze_core::engines::vertex::{graphlab, programs, Backend};
@@ -642,7 +611,7 @@ pub fn ablations(cfg: &ReproConfig) -> String {
         });
         if let (Ok((_, w)), Ok((_, wo))) = (with, without) {
             out.push_str(&format!(
-                "(6) GraphLab hub replication — pagerank wire bytes {} -> {} ({:.2}x reduction)\n",
+                "(4) GraphLab hub replication — pagerank wire bytes {} -> {} ({:.2}x reduction)\n",
                 fmt_bytes(wo.traffic.bytes_sent as f64),
                 fmt_bytes(w.traffic.bytes_sent as f64),
                 wo.traffic.bytes_sent as f64 / w.traffic.bytes_sent.max(1) as f64,
@@ -1333,18 +1302,11 @@ pub fn ninja_gap(cfg: &ReproConfig) -> String {
 }
 
 /// Extension — the **bit-parallel multi-source BFS** column (ROADMAP
-/// item: widen Table 5 beyond the paper's four algorithms). Two acts:
-///
-/// 1. A two-scale engine sweep over every framework with an msbfs port
-///    (native, CombBLAS, GraphLab, Giraph — SociaLite and Galois are
-///    honest "n/a" cells), 4 simulated nodes, digests journaled so
-///    `--resume` and the serving daemon agree bit-exactly.
-/// 2. A real wall-clock race on a scale-20 RMAT graph: one batched
-///    64-source word pass of `graph::msbfs` against 64 independent
-///    scalar `native::bfs` runs, both at the same thread count. The
-///    batched kernel amortizes the edge stream across all 64 sources
-///    (one `u64` frontier mask per vertex), so it must win by ≥2×; the
-///    measured speedup lands in `msbfs_race.csv`.
+/// item: widen Table 5 beyond the paper's four algorithms): a two-scale
+/// engine sweep over every framework with an msbfs port (native,
+/// CombBLAS, GraphLab, Giraph — SociaLite and Galois are honest "n/a"
+/// cells), 4 simulated nodes, digests journaled so `--resume` and the
+/// serving daemon agree bit-exactly.
 pub fn msbfs(cfg: &ReproConfig) -> String {
     let params = standard_params();
     let frameworks = [
@@ -1418,56 +1380,6 @@ pub fn msbfs(cfg: &ReproConfig) -> String {
         "msbfs",
         &["scale", "framework", "sim_seconds", "bytes_sent"],
         &csv_rows,
-    );
-
-    // act 2: the wall-clock race the batching exists for
-    let race_scale = 20u32;
-    let spec = WorkloadSpec::Rmat {
-        scale: race_scale,
-        edge_factor: 16,
-        seed: cfg.seed,
-    };
-    let wl = cfg.workload(&spec);
-    let g = wl.undirected().expect("graph");
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let sources =
-        graphmaze_core::runner::msbfs_sources(g.num_vertices() as u32, 64, params.msbfs_seed);
-    let t0 = std::time::Instant::now();
-    let batched = graphmaze_core::native::msbfs::msbfs(g, &sources, threads);
-    let batched_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    for (i, &s) in sources.iter().enumerate() {
-        let row = graphmaze_core::native::bfs::bfs(g, s, threads);
-        assert_eq!(row, batched[i], "scalar BFS diverged from the batch");
-    }
-    let scalar_secs = t1.elapsed().as_secs_f64();
-    let speedup = scalar_secs / batched_secs.max(1e-12);
-    out.push_str(&format!(
-        "\nwall-clock race on rmat s{race_scale} (ef 16), {} sources, {threads} threads:\n\
-         batched word pass {:.3}s vs {} scalar BFS runs {:.3}s — {speedup:.1}x\n",
-        sources.len(),
-        batched_secs,
-        sources.len(),
-        scalar_secs,
-    ));
-    cfg.write_csv(
-        "msbfs_race",
-        &[
-            "scale",
-            "sources",
-            "threads",
-            "batched_wall_secs",
-            "scalar_wall_secs",
-            "speedup",
-        ],
-        &[vec![
-            format!("{race_scale}"),
-            sources.len().to_string(),
-            threads.to_string(),
-            format!("{batched_secs:.6}"),
-            format!("{scalar_secs:.6}"),
-            format!("{speedup:.3}"),
-        ]],
     );
     out
 }
