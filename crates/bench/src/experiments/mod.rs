@@ -1,29 +1,14 @@
 //! One module per paper artifact. Every function returns the rendered
 //! report text (also printed by the `repro` binary) and writes CSV
-//! artifacts through [`ReproConfig::write_csv`].
+//! artifacts through [`ReproConfig::write_csv`]. [`EXPERIMENTS`] is the
+//! list of them.
 //!
-//! The crossbar experiments (Fig 3–6, Tables 4/5/6/7, the §5.4 estimate
-//! and the strong-scaling extension) declare their cells as a
+//! The experiments with a cell count there declare their cells as a
 //! `Sweep` and execute through [`crate::run_sweep`] — parallel across
 //! `--jobs` workers, journaled for `--resume`, with workloads shared via
-//! the process-wide cache. The remaining experiments call engine
-//! internals directly (ablations, roadmap mechanisms, convergence
-//! studies) but still pull their workloads from the same cache.
-//!
-//! | function | paper artifact |
-//! |---|---|
-//! | [`tables::table3`] | Table 3 — dataset inventory |
-//! | [`tables::table4`] | Table 4 — native efficiency vs hardware limits |
-//! | [`figures::fig3_and_table5`] | Figure 3a–d + Table 5 — single-node runtimes and geomean slowdowns |
-//! | [`figures::fig4_and_table6`] | Figure 4a–d + Table 6 — weak scaling and multi-node geomeans |
-//! | [`figures::fig5`] | Figure 5 — large real-world graphs, multi-node |
-//! | [`figures::fig6`] | Figure 6 — system metrics at 4 nodes |
-//! | [`figures::fig7`] | Figure 7 — native optimization ablation |
-//! | [`tables::table7`] | Table 7 — SociaLite network fix |
-//! | [`extras::net_estimate`] | §5.4 — traffic-based slowdown prediction |
-//! | [`extras::sgd_vs_gd`] | §3.2/§6.1.2 — SGD vs GD convergence |
-//! | [`extras::giraph_split`] | §6.1.3 — Giraph superstep splitting |
-//! | [`extras::ablations`] | §6.1.1 — partitioning / compression / overlap / data structures |
+//! the process-wide cache. The direct ones call engine internals
+//! (ablations, roadmap mechanisms, convergence studies) but still pull
+//! their workloads from the same cache.
 
 pub mod extras;
 pub mod figures;
@@ -34,6 +19,157 @@ use graphmaze_core::prelude::*;
 use graphmaze_core::sweep::CellResult;
 
 use crate::ReproConfig;
+
+/// One `repro` experiment.
+pub struct Experiment {
+    /// The names it answers to on the command line (the first is its
+    /// `--list` name; Figures 3 and 4 also render Tables 5 and 6).
+    pub names: &'static [&'static str],
+    /// Sweep cells it journals at the default settings, whatever the
+    /// scale; `None` for a direct experiment, which journals nothing.
+    pub cells: Option<usize>,
+    /// One line, drawn from the entry point's doc comment.
+    pub description: &'static str,
+    /// The entry point: renders the report and writes the artifacts.
+    pub run: fn(&ReproConfig) -> String,
+}
+
+/// Every experiment, in `repro all` order. The `repro` usage block,
+/// `--list` and name resolution are all rendered from this table.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        names: &["table2"],
+        cells: None,
+        description: "high-level framework comparison, generated from the engines",
+        run: tables::table2,
+    },
+    Experiment {
+        names: &["table3"],
+        cells: None,
+        description: "dataset inventory: paper-scale dimensions next to the stand-ins",
+        run: tables::table3,
+    },
+    Experiment {
+        names: &["table4"],
+        cells: Some(8),
+        description: "native efficiency against hardware limits, 1 and 4 nodes",
+        run: tables::table4,
+    },
+    Experiment {
+        names: &["fig3", "table5"],
+        cells: Some(98),
+        description: "single-node runtimes per dataset and framework, geomean slowdowns",
+        run: figures::fig3_and_table5,
+    },
+    Experiment {
+        names: &["fig4", "table6"],
+        cells: Some(140),
+        description: "weak scaling from 1 to 64 nodes, multi-node geomean slowdowns",
+        run: figures::fig4_and_table6,
+    },
+    Experiment {
+        names: &["fig5"],
+        cells: Some(20),
+        description: "large real-world graphs on multiple nodes",
+        run: figures::fig5,
+    },
+    Experiment {
+        names: &["fig6"],
+        cells: Some(20),
+        description: "CPU, network and memory metrics of 4-node runs",
+        run: figures::fig6,
+    },
+    Experiment {
+        names: &["fig7"],
+        cells: None,
+        description: "cumulative native optimization speedups, 4 nodes",
+        run: figures::fig7,
+    },
+    Experiment {
+        names: &["table7"],
+        cells: Some(4),
+        description: "SociaLite before/after the network optimization, 4 nodes",
+        run: tables::table7,
+    },
+    Experiment {
+        names: &["tabler"],
+        cells: Some(18),
+        description: "PageRank under stragglers, drops and a node failure (extension)",
+        run: tables::table_r,
+    },
+    Experiment {
+        names: &["netestimate"],
+        cells: Some(5),
+        description: "§5.4 slowdown predicted from network traffic vs measured",
+        run: extras::net_estimate,
+    },
+    Experiment {
+        names: &["commmatrix"],
+        cells: Some(5),
+        description: "per-(src, dst) wire bytes of 4-node PageRank per framework",
+        run: extras::comm_matrix,
+    },
+    Experiment {
+        names: &["sgdvsgd"],
+        cells: None,
+        description: "§3.2 SGD vs GD convergence for CF",
+        run: extras::sgd_vs_gd,
+    },
+    Experiment {
+        names: &["giraphsplit"],
+        cells: None,
+        description: "§6.1.3 Giraph triangle counting with superstep splitting",
+        run: extras::giraph_split,
+    },
+    Experiment {
+        names: &["ablations"],
+        cells: None,
+        description: "§6.1.1 partitioning, compression, overlap and hub replication",
+        run: extras::ablations,
+    },
+    Experiment {
+        names: &["strongscaling"],
+        cells: Some(28),
+        description: "PageRank strong scaling on a fixed graph (extension)",
+        run: extras::strong_scaling,
+    },
+    Experiment {
+        names: &["roadmap"],
+        cells: None,
+        description: "§6.2 slowdowns vs native before/after the recommended changes",
+        run: extras::roadmap,
+    },
+    Experiment {
+        names: &["relatedwork"],
+        cells: None,
+        description: "§7 GPS and GraphX slowdowns vs native",
+        run: extras::related_work,
+    },
+    Experiment {
+        names: &["resilience"],
+        cells: Some(22),
+        description: "retransmission overhead vs link-drop probability (extension)",
+        run: extras::resilience,
+    },
+    Experiment {
+        names: &["msbfs"],
+        cells: Some(8),
+        description: "bit-parallel multi-source BFS per engine at two scales (extension)",
+        run: extras::msbfs,
+    },
+    Experiment {
+        names: &["ninjagap"],
+        cells: Some(20),
+        description: "GraphMat lowering vs hand-tuned frameworks vs native (extension)",
+        run: extras::ninja_gap,
+    },
+    Experiment {
+        names: &["elastic"],
+        cells: Some(9),
+        description: "PageRank under mid-run joins, leaves and mixed hardware (extension)",
+        run: extras::elastic,
+    },
+];
 
 /// The Fig 3 graph datasets (real-world stand-ins + one synthetic) as
 /// workload specs, with per-dataset scale-downs that bring them near
