@@ -17,8 +17,8 @@
 //! copying that file over the golden, only in a change that says why
 //! the paper's numbers moved.
 //!
-//! Release only: a debug build takes minutes for the engine-heavy
-//! experiments, a release build seconds.
+//! Seconds in release and under the workspace's dev profile
+//! (`opt-level = 1`); an unoptimized build would take minutes.
 
 use std::path::Path;
 use std::process::Command;
@@ -104,10 +104,6 @@ fn golden_rows(out: &Path, stdout: &str) -> Vec<String> {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "minutes in debug; run with cargo test --release --test repro_goldens"
-)]
 fn repro_all_at_scale_10_matches_the_golden() {
     let work = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_goldens");
     let out = work.join("out");

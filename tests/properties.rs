@@ -8,21 +8,21 @@ use graphmaze_core::cluster::{Partition1D, Partition2D};
 use graphmaze_core::datagen::{rmat, RmatConfig, RmatParams};
 use graphmaze_core::graph::bitvec::BitVec;
 use graphmaze_core::graph::csr::{Csr, DirectedGraph, UndirectedGraph};
+use graphmaze_core::graph::rng::{splitmix64, GOLDEN};
 use graphmaze_core::native::bfs::{bfs, validate_distances, UNREACHED};
 use graphmaze_core::native::pagerank::pagerank;
 use graphmaze_core::native::triangle::{orient_and_sort, triangles, triangles_brute_force};
 use graphmaze_core::prelude::*;
 
-/// SplitMix64: tiny deterministic generator for test-case sampling.
+/// A SplitMix64 stream (`graph::rng::splitmix64`) for test-case
+/// sampling.
 struct TestRng(u64);
 
 impl TestRng {
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(GOLDEN);
+        z
     }
 
     /// Uniform in `[0, bound)`.
