@@ -175,7 +175,7 @@ pub fn write_serve_trace(path: &Path, spans: &[SpanRecord]) -> std::io::Result<u
                         us(cursor),
                         us(dur_s),
                         esc(&span.id),
-                        esc(&span.outcome),
+                        esc(span.outcome),
                     ),
                 );
             }
@@ -288,7 +288,7 @@ mod tests {
             SpanRecord {
                 id: "q1".into(),
                 label: "bfs/native".into(),
-                outcome: "miss".into(),
+                outcome: "miss",
                 start_s: 0.5,
                 queue_ns: 1_000,
                 lookup_ns: 2_000,
@@ -299,7 +299,7 @@ mod tests {
             SpanRecord {
                 id: "q2".into(),
                 label: "bfs/native".into(),
-                outcome: "hit".into(),
+                outcome: "hit",
                 start_s: 0.6,
                 queue_ns: 1_000,
                 lookup_ns: 2_000,

@@ -308,50 +308,7 @@ impl FaultPlan {
     /// `parse(&plan.key()) == plan`. Used in journal lines and as the
     /// faults component of the sweep cell params hash.
     pub fn key(&self) -> String {
-        if !self.is_active() {
-            return "none".to_string();
-        }
-        let mut s = format!("seed={}", self.seed);
-        if self.straggler_prob > 0.0 {
-            s.push_str(&format!(
-                ",straggler={:?}x{:?}",
-                self.straggler_prob, self.straggler_slowdown
-            ));
-        }
-        if self.drop_prob > 0.0 {
-            s.push_str(&format!(",drop={:?}", self.drop_prob));
-        }
-        if self.link_drop_prob > 0.0 {
-            s.push_str(&format!(",linkdrop={:?}", self.link_drop_prob));
-        }
-        if self.dup_prob > 0.0 {
-            s.push_str(&format!(",dup={:?}", self.dup_prob));
-        }
-        if let Some(l) = self.slow_link {
-            s.push_str(&format!(",slowlink={}-{}:{:?}", l.src, l.dst, l.factor));
-        }
-        if self.mem_pressure_prob > 0.0 {
-            s.push_str(&format!(
-                ",mempress={:?}:{}",
-                self.mem_pressure_prob, self.mem_pressure_bytes
-            ));
-        }
-        if let Some(f) = self.fail {
-            s.push_str(&format!(",kill={}@{}", f.node, f.step));
-        }
-        for e in self.joins.iter().flatten() {
-            s.push_str(&format!(",join={}@{}", e.node, e.step));
-        }
-        for e in self.leaves.iter().flatten() {
-            s.push_str(&format!(",leave={}@{}", e.node, e.step));
-        }
-        for h in self.hw.iter().flatten() {
-            s.push_str(&format!(",hw={}:{}", h.node, h.profile.name()));
-        }
-        if self.checkpoint_interval > 0 {
-            s.push_str(&format!(",ckpt={}", self.checkpoint_interval));
-        }
-        s
+        self.to_string()
     }
 
     /// Parses a `--faults` spec: comma-separated `key=value` clauses.
@@ -642,6 +599,58 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+}
+
+impl std::fmt::Display for FaultPlan {
+    /// The canonical spec string [`FaultPlan::key`] returns.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if !self.is_active() {
+            return f.write_str("none");
+        }
+        write!(f, "seed={}", self.seed)?;
+        if self.straggler_prob > 0.0 {
+            write!(
+                f,
+                ",straggler={:?}x{:?}",
+                self.straggler_prob, self.straggler_slowdown
+            )?;
+        }
+        if self.drop_prob > 0.0 {
+            write!(f, ",drop={:?}", self.drop_prob)?;
+        }
+        if self.link_drop_prob > 0.0 {
+            write!(f, ",linkdrop={:?}", self.link_drop_prob)?;
+        }
+        if self.dup_prob > 0.0 {
+            write!(f, ",dup={:?}", self.dup_prob)?;
+        }
+        if let Some(l) = self.slow_link {
+            write!(f, ",slowlink={}-{}:{:?}", l.src, l.dst, l.factor)?;
+        }
+        if self.mem_pressure_prob > 0.0 {
+            write!(
+                f,
+                ",mempress={:?}:{}",
+                self.mem_pressure_prob, self.mem_pressure_bytes
+            )?;
+        }
+        if let Some(k) = self.fail {
+            write!(f, ",kill={}@{}", k.node, k.step)?;
+        }
+        for e in self.joins.iter().flatten() {
+            write!(f, ",join={}@{}", e.node, e.step)?;
+        }
+        for e in self.leaves.iter().flatten() {
+            write!(f, ",leave={}@{}", e.node, e.step)?;
+        }
+        for h in self.hw.iter().flatten() {
+            write!(f, ",hw={}:{}", h.node, h.profile.name())?;
+        }
+        if self.checkpoint_interval > 0 {
+            write!(f, ",ckpt={}", self.checkpoint_interval)?;
+        }
+        Ok(())
     }
 }
 

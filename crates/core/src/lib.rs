@@ -42,7 +42,7 @@ pub use graphmaze_metrics as metrics;
 pub use graphmaze_native as native;
 
 pub use cache::{CacheStats, CachedOutcome, ResultCache};
-pub use request::{Provenance, RunRequest, RunResponse};
+pub use request::{Provenance, RunRequest, RunResponse, SharedResponse};
 pub use runner::{
     run_benchmark, run_output, Algorithm, BenchParams, Framework, Output, RunOutcome,
 };
@@ -56,7 +56,7 @@ pub use workload::Workload;
 pub mod prelude {
     pub use crate::cache::{CacheStats, ResultCache};
     pub use crate::report::{format_table, geomean};
-    pub use crate::request::{Provenance, RunRequest, RunResponse};
+    pub use crate::request::{Provenance, RunRequest, RunResponse, SharedResponse};
     pub use crate::runner::{
         run_benchmark, run_output, Algorithm, BenchParams, Framework, Output, RunOutcome,
     };

@@ -389,10 +389,11 @@ pub(crate) fn escape_label_value(v: &str) -> String {
 pub struct SpanRecord {
     /// Client-supplied request id (or a synthesized one).
     pub id: String,
-    /// Human cell label, e.g. `pagerank/giraph`.
-    pub label: String,
+    /// Human cell label, e.g. `pagerank/giraph`, shared by every span of
+    /// the cell.
+    pub label: Arc<str>,
     /// `hit` | `miss` | `failed` | `error` | `timeout`.
-    pub outcome: String,
+    pub outcome: &'static str,
     /// Span start as seconds since daemon start (one clock, one origin).
     pub start_s: f64,
     /// enqueue → permit acquired.
@@ -543,7 +544,7 @@ mod tests {
         let span = SpanRecord {
             id: "r1".into(),
             label: "bfs/native".into(),
-            outcome: "hit".into(),
+            outcome: "hit",
             start_s: 0.5,
             queue_ns: 10,
             lookup_ns: 20,
