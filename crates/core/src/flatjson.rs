@@ -60,21 +60,6 @@ fn push_f64(out: &mut String, v: f64) {
     };
 }
 
-/// Escapes a string for use inside a JSON string literal.
-pub fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_escaped(&mut out, s);
-    out
-}
-
-/// `{:?}` on finite f64 is shortest-round-trip; non-finite values are
-/// quoted so every line stays valid JSON.
-pub fn f64_json(v: f64) -> String {
-    let mut out = String::new();
-    push_f64(&mut out, v);
-    out
-}
-
 /// Read access to the fields of one parsed flat JSON object: the
 /// borrowed [`FlatObject`] or the owned map [`parse_flat_json`] returns.
 pub trait FlatFields {
@@ -347,9 +332,17 @@ mod tests {
             let line = FlatJsonBuilder::new().u64("n", v).hex64("h", v).finish();
             assert_eq!(line, format!("{{\"n\":{v},\"h\":\"{v:016x}\"}}"));
         }
-        for v in [0.0, -0.0, 0.1, 1e-7, 1e300, f64::NAN, f64::NEG_INFINITY] {
+        for (v, spelled) in [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (0.1, "0.1"),
+            (1e-7, "1e-7"),
+            (1e300, "1e300"),
+            (f64::NAN, "\"NaN\""),
+            (f64::NEG_INFINITY, "\"-inf\""),
+        ] {
             let line = FlatJsonBuilder::new().f64("x", v).finish();
-            assert_eq!(line, format!("{{\"x\":{}}}", f64_json(v)));
+            assert_eq!(line, format!("{{\"x\":{spelled}}}"));
         }
     }
 
@@ -362,7 +355,8 @@ mod tests {
             ("\n\t\r", "\\n\\t\\r"),
             ("\u{1}é\u{1f}", "\\u0001é\\u001f"),
         ] {
-            assert_eq!(esc_json(raw), escaped);
+            let line = FlatJsonBuilder::new().str("s", raw).finish();
+            assert_eq!(line, format!("{{\"s\":\"{escaped}\"}}"));
         }
     }
 

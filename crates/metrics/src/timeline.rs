@@ -68,6 +68,53 @@ impl StepRecord {
     }
 }
 
+/// Declares [`StepRecord`]'s columns once, in order — each one's name,
+/// field and spelling — and generates `COLUMNS`, `cells` and
+/// `from_cells` from that one list.
+macro_rules! step_columns {
+    ($($name:literal => $field:ident: $fmt:literal,)*) => {
+        impl StepRecord {
+            /// The column names, in order: the per-step trace CSV's header.
+            pub const COLUMNS: [&'static str; 12] = [$($name),*];
+
+            /// The record as one text cell per column: integers in
+            /// decimal, f64s shortest-round-trip (`{:?}`, so non-finite
+            /// values read "inf"/"NaN", which `f64::from_str` parses back)
+            /// and the phase verbatim. The journal's timeline string and
+            /// the per-step trace CSV are both made of these cells.
+            pub fn cells(&self) -> [String; 12] {
+                [$(format!($fmt, self.$field)),*]
+            }
+
+            /// The inverse of [`StepRecord::cells`]: `None` unless there
+            /// are exactly 12 cells and each parses as its column's type.
+            pub fn from_cells<'a>(
+                cells: impl IntoIterator<Item = &'a str>,
+            ) -> Option<StepRecord> {
+                let mut it = cells.into_iter();
+                // struct fields are evaluated as written: in column order
+                let rec = StepRecord { $($field: it.next()?.parse().ok()?),* };
+                it.next().is_none().then_some(rec)
+            }
+        }
+    };
+}
+
+step_columns! {
+    "step" => step: "{}",
+    "phase" => phase: "{}",
+    "compute_s" => compute_s: "{:?}",
+    "comm_s" => comm_s: "{:?}",
+    "barrier_s" => barrier_s: "{:?}",
+    "recovery_s" => recovery_s: "{:?}",
+    "resilience_s" => resilience_s: "{:?}",
+    "rebalance_s" => rebalance_s: "{:?}",
+    "bytes_sent" => bytes_sent: "{}",
+    "messages" => messages: "{}",
+    "max_node_bytes" => max_node_bytes: "{}",
+    "mem_peak_bytes" => mem_peak_bytes: "{}",
+}
+
 /// Time/bytes aggregated over all steps sharing one phase label.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseStat {
@@ -220,6 +267,28 @@ mod tests {
                 rec(2, "iterate", 0.2, 0.1, 0.01, 1000),
             ],
         }
+    }
+
+    #[test]
+    fn cells_round_trip_and_a_wrong_count_or_type_is_refused() {
+        let mut r = rec(3, "a|b", 0.1, f64::INFINITY, 1e-300, u64::MAX / 3);
+        r.mem_peak_bytes = u64::MAX;
+        let cells = r.cells();
+        assert_eq!(cells.len(), StepRecord::COLUMNS.len());
+        let back = StepRecord::from_cells(cells.iter().map(String::as_str));
+        assert_eq!(back, Some(r));
+        assert_eq!(
+            StepRecord::from_cells(cells[..11].iter().map(String::as_str)),
+            None
+        );
+        let thirteen = cells.iter().map(String::as_str).chain(["0"]);
+        assert_eq!(StepRecord::from_cells(thirteen), None);
+        let mut wide = cells.clone();
+        wide[0] = "4294967296".into(); // step is a u32
+        assert_eq!(
+            StepRecord::from_cells(wide.iter().map(String::as_str)),
+            None
+        );
     }
 
     #[test]
