@@ -789,21 +789,12 @@ pub fn resilience(cfg: &ReproConfig) -> String {
                     } else {
                         format!("{} (+{overhead:.1}%)", fmt_secs(r.sim_seconds))
                     });
-                    let ret = &r.retransmit;
-                    csv_rows.push(vec![
+                    csv_rows.push(resilience_csv_row(
                         fw.name().to_string(),
                         format!("{p}"),
-                        format!("{:.9e}", r.sim_seconds),
                         format!("{overhead:.4}"),
-                        ret.retransmits.to_string(),
-                        ret.retransmitted_bytes.to_string(),
-                        ret.duplicates.to_string(),
-                        format!("{:.9e}", ret.timeout_seconds),
-                        ret.heartbeats.to_string(),
-                        ret.suspicions.to_string(),
-                        ret.speculative_reexecs.to_string(),
-                        ret.suppressed_duplicates.to_string(),
-                    ]);
+                        r,
+                    ));
                 }
                 Err(e) => row.push(e),
             }
@@ -856,20 +847,12 @@ pub fn resilience(cfg: &ReproConfig) -> String {
                     ret.suppressed_duplicates.to_string(),
                     ret.duplicates.to_string(),
                 ]);
-                csv_rows.push(vec![
+                csv_rows.push(resilience_csv_row(
                     format!("{}+spec", fw.name()),
                     "0.01".to_string(),
-                    format!("{:.9e}", r.sim_seconds),
                     String::new(),
-                    ret.retransmits.to_string(),
-                    ret.retransmitted_bytes.to_string(),
-                    ret.duplicates.to_string(),
-                    format!("{:.9e}", ret.timeout_seconds),
-                    ret.heartbeats.to_string(),
-                    ret.suspicions.to_string(),
-                    ret.speculative_reexecs.to_string(),
-                    ret.suppressed_duplicates.to_string(),
-                ]);
+                    r,
+                ));
             }
             Err(e) => spec_rows.push(vec![
                 fw.name().to_string(),
@@ -911,6 +894,27 @@ pub fn resilience(cfg: &ReproConfig) -> String {
         &csv_rows,
     );
     out
+}
+
+/// One `resilience.csv` row: the framework (or variant), the drop rate,
+/// the overhead over the baseline (empty without one), then the run's
+/// seconds and retransmission counters.
+fn resilience_csv_row(name: String, drop: String, overhead: String, r: &RunReport) -> Vec<String> {
+    let ret = &r.retransmit;
+    vec![
+        name,
+        drop,
+        format!("{:.9e}", r.sim_seconds),
+        overhead,
+        ret.retransmits.to_string(),
+        ret.retransmitted_bytes.to_string(),
+        ret.duplicates.to_string(),
+        format!("{:.9e}", ret.timeout_seconds),
+        ret.heartbeats.to_string(),
+        ret.suspicions.to_string(),
+        ret.speculative_reexecs.to_string(),
+        ret.suppressed_duplicates.to_string(),
+    ]
 }
 
 /// Extension — **elastic cluster membership**. The paper benchmarks
