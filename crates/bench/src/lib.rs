@@ -26,6 +26,7 @@
 //! `--jobs N` worker threads, and completed cells append to
 //! `results/journal.jsonl` so a killed run restarted with `--resume`
 //! skips everything already measured.
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod experiments;

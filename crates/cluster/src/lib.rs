@@ -32,6 +32,7 @@
 //!   hardware profiles ([`NodeProfile`]) — triggers live weighted
 //!   repartitioning with migration traffic charged into the traffic
 //!   matrix (`join=`/`leave=`/`hw=` fault-plan clauses).
+#![forbid(unsafe_code)]
 
 pub mod comm;
 pub mod compress;

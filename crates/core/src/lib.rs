@@ -25,6 +25,7 @@
 //!     }
 //! }
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod flatjson;

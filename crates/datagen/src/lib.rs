@@ -14,6 +14,7 @@
 //!
 //! All generators are deterministic given a seed, independent of thread
 //! count.
+#![forbid(unsafe_code)]
 
 pub mod er;
 pub mod presets;

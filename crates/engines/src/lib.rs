@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // per-node kernels index several parallel arrays by the same id
 
 //! # graphmaze-engines

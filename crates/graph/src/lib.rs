@@ -23,6 +23,7 @@
 //!
 //! Vertex ids are `u32` ([`VertexId`]): the paper's largest graphs have
 //! ~537 M vertices, within `u32` range; edge counts use `u64`.
+#![forbid(unsafe_code)]
 
 pub mod bipartite;
 pub mod bitvec;

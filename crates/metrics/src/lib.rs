@@ -11,6 +11,7 @@
 //! counters record exactly what they did. Only the conversion of counts
 //! to seconds (done in `graphmaze-cluster`) uses the paper's hardware
 //! constants.
+#![forbid(unsafe_code)]
 
 pub mod expose;
 pub mod memory;

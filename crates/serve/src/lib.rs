@@ -30,6 +30,7 @@
 //!
 //! The closed-loop load generator lives in [`loadgen`]; [`grid`] builds
 //! the default query population it samples from.
+#![forbid(unsafe_code)]
 
 pub mod grid;
 pub mod loadgen;
