@@ -7,9 +7,13 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use graphmaze_bench::experiments::{extras, EXPERIMENTS};
+use graphmaze_bench::experiments::{extras, figures, tables, EXPERIMENTS};
 use graphmaze_bench::ReproConfig;
 use graphmaze_core::flatjson::parse_flat_json;
+
+#[path = "../../serve/tests/support/strict_json.rs"]
+mod strict_json;
+use strict_json::Json;
 
 /// Runs `experiment` into a fresh `<tmp>/<sub>/out` and returns that
 /// directory.
@@ -65,6 +69,55 @@ fn digests(out: &Path, experiment: &str) -> BTreeMap<(String, String), String> {
             )
         })
         .collect()
+}
+
+/// The events of the trace a traced [`run`] wrote for `experiment`,
+/// which must be one strict JSON document.
+fn trace_events(out: &Path, experiment: &str) -> Vec<Json> {
+    let path = out
+        .with_file_name("trace")
+        .join(format!("{experiment}.trace.json"));
+    let text = std::fs::read_to_string(path).expect("trace");
+    let trace = Json::parse(&text).unwrap_or_else(|e| panic!("{experiment}: not JSON: {e}"));
+    let Json::Obj(fields) = trace else {
+        panic!("{experiment}: the trace is not an object")
+    };
+    match fields.into_iter().rev().find(|(k, _)| k == "traceEvents") {
+        Some((_, Json::Arr(events))) => events,
+        _ => panic!("{experiment}: no traceEvents array"),
+    }
+}
+
+fn is_complete(event: &Json) -> bool {
+    event.get("ph").and_then(Json::as_str) == Some("X")
+}
+
+#[test]
+fn fig6_trace_is_one_json_document_with_complete_events() {
+    let out = run(figures::fig6, "fig6", 10, 2, true);
+    assert!(trace_events(&out, "fig6").iter().any(is_complete));
+}
+
+#[test]
+fn tabler_trace_has_spans_on_the_recovery_lane() {
+    let out = run(tables::table_r, "tabler", 10, 2, true);
+    let events = trace_events(&out, "tabler");
+    let lanes: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
+        .map(|e| {
+            e.get("args")
+                .and_then(|args| args.get("name"))
+                .and_then(Json::as_str)
+                .unwrap_or_else(|| panic!("thread_name without args.name: {e:?}"))
+        })
+        .collect();
+    assert!(lanes.contains(&"recovery"), "{lanes:?}");
+    // the nodefail variant's Giraph cell puts real spans on the recovery
+    // lane (tid 4)
+    assert!(events
+        .iter()
+        .any(|e| is_complete(e) && e.get("tid").and_then(Json::as_u64) == Some(4)));
 }
 
 #[test]
