@@ -95,6 +95,33 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Number of set bits with index in `range`. Panics if the range
+    /// is reversed or ends past `len`.
+    pub fn count_ones_in(&self, range: std::ops::Range<usize>) -> usize {
+        let std::ops::Range { start, end } = range;
+        assert!(
+            start <= end && end <= self.len,
+            "bit range {start}..{end} out of range {}",
+            self.len
+        );
+        if start == end {
+            return 0;
+        }
+        let (first, last) = (start / WORD_BITS, (end - 1) / WORD_BITS);
+        let head = u64::MAX << (start % WORD_BITS);
+        let tail = u64::MAX >> (WORD_BITS - 1 - (end - 1) % WORD_BITS);
+        if first == last {
+            return (self.words[first] & head & tail).count_ones() as usize;
+        }
+        let middle: usize = self.words[first + 1..last]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        (self.words[first] & head).count_ones() as usize
+            + middle
+            + (self.words[last] & tail).count_ones() as usize
+    }
+
     /// Iterator over the indices of set bits, ascending.
     pub fn iter_ones(&self) -> IterOnes<'_> {
         IterOnes {
@@ -314,6 +341,23 @@ mod tests {
             bv.set(i);
         }
         assert_eq!(bv.iter_ones().count(), 64);
+    }
+
+    #[test]
+    fn count_ones_in_matches_a_bit_by_bit_count() {
+        let mut bv = BitVec::new(200);
+        for i in (0..200).filter(|i| i % 3 == 0 || i % 7 == 1) {
+            bv.set(i);
+        }
+        for start in [0, 1, 62, 63, 64, 65, 128, 199, 200] {
+            for end in [start, start + 1, 64, 127, 128, 129, 191, 200] {
+                if end < start || end > 200 {
+                    continue;
+                }
+                let want = (start..end).filter(|&i| bv.get(i)).count();
+                assert_eq!(bv.count_ones_in(start..end), want, "{start}..{end}");
+            }
+        }
     }
 
     #[test]

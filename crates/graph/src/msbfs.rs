@@ -17,14 +17,22 @@
 //! distances *and* frontier order are bit-identical for every thread
 //! count and every interleaving.
 //!
-//! [`msbfs_with`] adds the §6.1 direction-optimizing switch: dense
-//! levels run bottom-up, each unsettled vertex *gathering* the OR of its
-//! neighbors' frontier masks (early-exiting once every wanted bit is
-//! found) instead of frontier vertices scattering theirs. The gather
+//! [`msbfs_with`] adds the §6.1 direction-optimizing switch: levels
+//! whose frontier carries a large share of the graph's edges run
+//! bottom-up, each unsettled vertex *gathering* the OR of its neighbors'
+//! frontier masks instead of frontier vertices scattering theirs. A
+//! vertex only wants the bits still in flight (the OR of the frontier's
+//! masks) that it has not seen, so vertices every live search has
+//! already passed are skipped and the gather exits as soon as every
+//! wanted bit is found (GraphBLAST's early exit, PAPERS.md). The gather
 //! needs no atomics — each vertex is written by exactly one worker — and
 //! stays bit-identical at any thread count. It requires a symmetric
 //! adjacency; distances are unchanged either way (BFS hop distances are
 //! unique), so the switch is a pure wall-clock lever.
+//!
+//! [`WordPass`] exposes the level loop one level at a time, so the
+//! native cluster port charges its simulated traffic from the same
+//! frontiers the kernel computes.
 
 use crate::bitvec::AtomicBitVec;
 use crate::csr::Csr;
@@ -38,13 +46,15 @@ pub const UNREACHED: u32 = u32::MAX;
 pub const WORD_SOURCES: usize = 64;
 
 /// Largest batch a single call accepts (8 word passes). Callers with
-/// more sources should loop; the cap keeps the per-pass distance matrix
+/// more sources should loop; the cap keeps the per-pass distance rows
 /// (`64 × n` u32s) bounded.
 pub const MAX_BATCH: usize = 512;
 
-/// Occupancy of the frontier above which [`msbfs_with`] runs a level
-/// bottom-up (matches the scalar BFS switch).
-const BOTTOM_UP_THRESHOLD: f64 = 0.05;
+/// [`msbfs_with`] runs a level bottom-up once the frontier's edges
+/// exceed `1 / BOTTOM_UP_EDGE_SHARE` of the graph's. A scattered edge
+/// (an atomic OR into a random word) costs about four times a gathered
+/// one (a plain load), and a gather may scan every edge once.
+const BOTTOM_UP_EDGE_SHARE: u64 = 4;
 
 /// Multi-source BFS over `adj` from `sources`, using `threads` workers.
 /// Returns one distance row per source, in source order: `rows[i][v]` is
@@ -74,210 +84,243 @@ pub fn msbfs_with(
         "batch of {} sources exceeds MAX_BATCH ({MAX_BATCH})",
         sources.len()
     );
-    let n = adj.num_vertices();
-    for &s in sources {
-        assert!(
-            (s as usize) < n,
-            "source {s} out of range (num_vertices={n})"
-        );
-    }
     let mut rows = Vec::with_capacity(sources.len());
     for group in sources.chunks(WORD_SOURCES) {
-        word_pass(adj, group, threads, direction_optimizing, &mut rows);
+        let mut pass = WordPass::new(adj, group, threads, direction_optimizing);
+        while !pass.frontier().is_empty() {
+            pass.advance();
+        }
+        rows.extend(pass.into_rows());
     }
     rows
 }
 
-/// One 64-wide pass: advances `group` (≤ 64 sources) to completion and
-/// appends one distance row per source to `rows`.
-fn word_pass(
-    adj: &Csr,
-    group: &[VertexId],
+/// One 64-wide pass over up to [`WORD_SOURCES`] sources, advanced one
+/// level at a time: bit `b` of a mask stands for `group[b]`.
+pub struct WordPass<'a> {
+    adj: &'a Csr,
     threads: usize,
     direction_optimizing: bool,
-    rows: &mut Vec<Vec<u32>>,
-) {
-    let n = adj.num_vertices();
-    let k = group.len();
-    debug_assert!(k <= WORD_SOURCES);
-    if k == 0 {
-        return;
-    }
-    // per-vertex state: settled mask, gossip inbox, packed distances
-    // (dist[v * 64 + b] = level at which bit b settled at v)
-    let mut seen = vec![0u64; n];
-    let next = AtomicBitVec::new(n * WORD_SOURCES);
-    let mut dist = vec![UNREACHED; n * WORD_SOURCES];
+    /// Bits settled at each vertex.
+    seen: Vec<u64>,
+    /// `(vertex, bits settled at it last level)`, ascending by vertex.
+    frontier: Vec<(VertexId, u64)>,
+    /// The top-down inbox. Monotone: `& !seen` hides the bits already
+    /// settled, so it is never reset.
+    inbox: AtomicBitVec,
+    /// Dense frontier masks for the bottom-up gather, allocated on the
+    /// first bottom-up level and zero outside it.
+    front: Vec<u64>,
+    /// `rows[b][v]`: the level at which bit `b` settled at `v`.
+    rows: Vec<Vec<u32>>,
+    level: u32,
+}
 
-    // seed: merge duplicate source vertices into one mask per vertex
-    let mut seeds: Vec<(VertexId, u64)> = group
-        .iter()
-        .enumerate()
-        .map(|(b, &s)| (s, 1u64 << b))
-        .collect();
-    seeds.sort_unstable_by_key(|&(v, _)| v);
-    let mut frontier: Vec<(VertexId, u64)> = Vec::with_capacity(seeds.len());
-    for (v, m) in seeds.drain(..) {
-        match frontier.last_mut() {
-            Some((lv, lm)) if *lv == v => *lm |= m,
-            _ => frontier.push((v, m)),
+impl<'a> WordPass<'a> {
+    /// Seeds a pass from `group` (at most [`WORD_SOURCES`] sources,
+    /// duplicates allowed): every source is settled at level 0 and the
+    /// frontier holds one entry per distinct source vertex. Panics if a
+    /// source is out of range or the group is too wide.
+    pub fn new(
+        adj: &'a Csr,
+        group: &[VertexId],
+        threads: usize,
+        direction_optimizing: bool,
+    ) -> Self {
+        let n = adj.num_vertices();
+        assert!(
+            group.len() <= WORD_SOURCES,
+            "a word pass carries at most 64 sources"
+        );
+        for &s in group {
+            assert!(
+                (s as usize) < n,
+                "source {s} out of range (num_vertices={n})"
+            );
+        }
+        let mut seen = vec![0u64; n];
+        let mut rows = vec![vec![UNREACHED; n]; group.len()];
+        for (b, &s) in group.iter().enumerate() {
+            seen[s as usize] |= 1u64 << b;
+            rows[b][s as usize] = 0;
+        }
+        let mut frontier: Vec<(VertexId, u64)> =
+            group.iter().map(|&s| (s, seen[s as usize])).collect();
+        frontier.sort_unstable_by_key(|&(v, _)| v);
+        frontier.dedup_by_key(|&mut (v, _)| v);
+        WordPass {
+            adj,
+            threads,
+            direction_optimizing,
+            seen,
+            frontier,
+            inbox: AtomicBitVec::new(n * WORD_SOURCES),
+            front: Vec::new(),
+            rows,
+            level: 0,
         }
     }
-    for &(v, m) in &frontier {
-        seen[v as usize] = m;
-        let mut bits = m;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            dist[v as usize * WORD_SOURCES + b] = 0;
-        }
+
+    /// The vertices that settled bits last level, with those bits,
+    /// ascending by vertex. Empty once the pass is done.
+    pub fn frontier(&self) -> &[(VertexId, u64)] {
+        &self.frontier
     }
 
-    // bit `b` is wanted at `v` until it settles there; once `seen[v]`
-    // covers the whole group the vertex is done
-    let full: u64 = if k == WORD_SOURCES {
-        u64::MAX
-    } else {
-        (1u64 << k) - 1
-    };
-    // dense frontier masks, allocated on the first bottom-up level and
-    // kept clear between levels by erasing the old frontier's entries
-    let mut front: Vec<u64> = Vec::new();
+    /// The bits settled at each vertex so far.
+    pub fn seen(&self) -> &[u64] {
+        &self.seen
+    }
 
-    let mut level = 0u32;
-    while !frontier.is_empty() {
-        level += 1;
-        if direction_optimizing && frontier.len() as f64 / n as f64 > BOTTOM_UP_THRESHOLD {
-            // bottom-up: every unsettled vertex gathers the OR of its
-            // neighbors' frontier masks. One writer per vertex, walked
-            // in index order — deterministic without atomics. The early
-            // exit fires once every still-wanted bit has been found.
-            if front.is_empty() {
-                front = vec![0u64; n];
-            }
-            for &(v, m) in &frontier {
-                front[v as usize] = m;
-            }
-            let workers = threads.max(1).min(n.max(1));
-            let chunk = n.div_ceil(workers);
-            let parts: Vec<Vec<(VertexId, u64)>> = std::thread::scope(|sc| {
-                let handles: Vec<_> = seen
-                    .chunks_mut(chunk)
-                    .zip(dist.chunks_mut(chunk * WORD_SOURCES))
-                    .enumerate()
-                    .map(|(t, (seen_chunk, dist_chunk))| {
-                        let front = &front;
-                        sc.spawn(move || {
-                            let base = t * chunk;
-                            let mut part: Vec<(VertexId, u64)> = Vec::new();
-                            for (j, sv) in seen_chunk.iter_mut().enumerate() {
-                                let want = full & !*sv;
-                                if want == 0 {
-                                    continue;
-                                }
-                                let mut gain = 0u64;
-                                for &u in adj.neighbors((base + j) as VertexId) {
-                                    gain |= front[u as usize];
-                                    if gain & want == want {
-                                        break;
-                                    }
-                                }
-                                let m = gain & want;
-                                if m != 0 {
-                                    *sv |= m;
-                                    let mut bits = m;
-                                    while bits != 0 {
-                                        let b = bits.trailing_zeros() as usize;
-                                        bits &= bits - 1;
-                                        dist_chunk[j * WORD_SOURCES + b] = level;
-                                    }
-                                    part.push(((base + j) as VertexId, m));
-                                }
-                            }
-                            part
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("bottom-up worker panicked"))
-                    .collect()
-            });
-            for &(v, _) in &frontier {
-                front[v as usize] = 0;
-            }
-            frontier = parts.concat();
-            continue;
-        }
-        // expand: OR-gossip every frontier mask over its edges. `seen`
-        // is read-only in this phase, so the pre-filter is race-free;
-        // `fetch_or_word` commutes, so thread order cannot matter.
+    /// Runs one level: every vertex adjacent to the frontier settles the
+    /// frontier bits it has not seen, and those vertices become the new
+    /// frontier.
+    pub fn advance(&mut self) {
+        self.level += 1;
+        let frontier_edges: u64 = self
+            .frontier
+            .iter()
+            .map(|&(v, _)| u64::from(self.adj.degree(v)))
+            .sum();
+        self.frontier = if self.direction_optimizing
+            && frontier_edges * BOTTOM_UP_EDGE_SHARE > self.adj.num_edges()
         {
-            let (frontier, seen) = (&frontier, &seen);
-            par_for_chunks(frontier.len(), threads, |_, range| {
-                for &(v, m) in &frontier[range] {
-                    for &w in adj.neighbors(v) {
-                        if m & !seen[w as usize] != 0 {
-                            next.fetch_or_word(w as usize, m);
-                        }
+            self.gather()
+        } else {
+            self.scatter()
+        };
+    }
+
+    /// The distance rows, one per source of the group, in group order.
+    pub fn into_rows(self) -> Vec<Vec<u32>> {
+        self.rows
+    }
+
+    /// Top-down: OR-gossip every frontier mask over its edges, then
+    /// claim the newly arrived bits in vertex order.
+    fn scatter(&mut self) -> Vec<(VertexId, u64)> {
+        // `seen` is read-only while gossiping, so the pre-filter is
+        // race-free; `fetch_or_word` commutes, so thread order cannot
+        // matter
+        let (adj, frontier, seen, inbox) = (self.adj, &self.frontier, &self.seen, &self.inbox);
+        par_for_chunks(frontier.len(), self.threads, |_, range| {
+            for &(v, m) in &frontier[range] {
+                for &w in adj.neighbors(v) {
+                    if m & !seen[w as usize] != 0 {
+                        inbox.fetch_or_word(w as usize, m);
                     }
                 }
-            });
-        }
-        // settle: claim newly arrived bits in vertex order and record
-        // their distance. The inbox is monotone (bits are never cleared);
-        // `& !seen` keeps already-settled bits from re-settling, so the
-        // word never needs resetting between levels.
-        let workers = threads.max(1).min(n.max(1));
-        let chunk = n.div_ceil(workers);
-        let parts: Vec<Vec<(VertexId, u64)>> = std::thread::scope(|sc| {
-            let handles: Vec<_> = seen
-                .chunks_mut(chunk)
-                .zip(dist.chunks_mut(chunk * WORD_SOURCES))
-                .enumerate()
-                .map(|(t, (seen_chunk, dist_chunk))| {
-                    let next = &next;
-                    sc.spawn(move || {
-                        let base = t * chunk;
-                        let mut part: Vec<(VertexId, u64)> = Vec::new();
-                        for (j, sv) in seen_chunk.iter_mut().enumerate() {
-                            let m = next.load_word(base + j) & !*sv;
-                            if m != 0 {
-                                *sv |= m;
-                                let mut bits = m;
-                                while bits != 0 {
-                                    let b = bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    dist_chunk[j * WORD_SOURCES + b] = level;
-                                }
-                                part.push(((base + j) as VertexId, m));
-                            }
-                        }
-                        part
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("settle worker panicked"))
-                .collect()
+            }
         });
-        frontier = parts.concat();
+        let inbox = &self.inbox;
+        settle_blocks(
+            &mut self.seen,
+            &mut self.rows,
+            self.threads,
+            self.level,
+            |v, sv| inbox.load_word(v) & !sv,
+        )
     }
 
-    // per-source row extraction from the packed per-vertex layout,
-    // transposed: one sequential read of each vertex's 64-entry block
-    // scattered into k row streams, instead of k strided sweeps of the
-    // whole packed matrix
-    let start = rows.len();
-    rows.extend((0..k).map(|_| vec![0u32; n]));
-    let out = &mut rows[start..];
-    for v in 0..n {
-        let block = &dist[v * WORD_SOURCES..v * WORD_SOURCES + k];
-        for (row, &d) in out.iter_mut().zip(block) {
-            row[v] = d;
+    /// Bottom-up: every vertex still missing an in-flight bit gathers
+    /// the OR of its neighbors' frontier masks, stopping once it has
+    /// every such bit.
+    fn gather(&mut self) -> Vec<(VertexId, u64)> {
+        if self.front.is_empty() {
+            self.front = vec![0u64; self.seen.len()];
+        }
+        let mut inflight = 0u64;
+        for &(v, m) in &self.frontier {
+            self.front[v as usize] = m;
+            inflight |= m;
+        }
+        let (adj, front) = (self.adj, &self.front);
+        let next = settle_blocks(
+            &mut self.seen,
+            &mut self.rows,
+            self.threads,
+            self.level,
+            |v, sv| {
+                // a bit outside `inflight` cannot arrive this level
+                let want = inflight & !sv;
+                if want == 0 {
+                    return 0;
+                }
+                let mut gain = 0u64;
+                for &u in adj.neighbors(v as VertexId) {
+                    gain |= front[u as usize];
+                    if gain & want == want {
+                        break;
+                    }
+                }
+                gain & want
+            },
+        );
+        for &(v, _) in &self.frontier {
+            self.front[v as usize] = 0;
+        }
+        next
+    }
+}
+
+/// Settles `arrived(v, seen[v])` (bits not yet seen at `v`) at `level`
+/// for every vertex, over `threads` contiguous vertex blocks — on the
+/// caller's thread when there is one block. Returns the new frontier in
+/// vertex order. Each block owns its slice of `seen` and of every row,
+/// so the result is the same at any thread count.
+fn settle_blocks<F>(
+    seen: &mut [u64],
+    rows: &mut [Vec<u32>],
+    threads: usize,
+    level: u32,
+    arrived: F,
+) -> Vec<(VertexId, u64)>
+where
+    F: Fn(usize, u64) -> u64 + Sync,
+{
+    let n = seen.len();
+    let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
+    // blocks[t][b] = rows[b][t * chunk..][..chunk]
+    let mut blocks: Vec<Vec<&mut [u32]>> = (0..n.div_ceil(chunk)).map(|_| Vec::new()).collect();
+    for row in rows.iter_mut() {
+        for (block, part) in blocks.iter_mut().zip(row.chunks_mut(chunk)) {
+            block.push(part);
         }
     }
+    let settle = |t: usize, seen: &mut [u64], cols: &mut [&mut [u32]]| {
+        let base = t * chunk;
+        let mut part = Vec::new();
+        for (j, sv) in seen.iter_mut().enumerate() {
+            let m = arrived(base + j, *sv);
+            if m != 0 {
+                *sv |= m;
+                let mut bits = m;
+                while bits != 0 {
+                    cols[bits.trailing_zeros() as usize][j] = level;
+                    bits &= bits - 1;
+                }
+                part.push(((base + j) as VertexId, m));
+            }
+        }
+        part
+    };
+    if blocks.len() <= 1 {
+        let mut cols = blocks.pop().unwrap_or_default();
+        return settle(0, seen, &mut cols);
+    }
+    let settle = &settle;
+    std::thread::scope(|sc| {
+        let handles: Vec<_> = seen
+            .chunks_mut(chunk)
+            .zip(blocks)
+            .enumerate()
+            .map(|(t, (seen, mut cols))| sc.spawn(move || settle(t, seen, &mut cols)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("settle worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -349,7 +392,7 @@ mod tests {
 
     #[test]
     fn direction_optimization_does_not_change_rows() {
-        // dense enough that frontier occupancy crosses the bottom-up
+        // dense enough that the frontier's edges cross the bottom-up
         // threshold, so both directions genuinely run
         let n = 300u32;
         let adj = random_symmetric(n, 900);

@@ -264,84 +264,127 @@ pub fn bfs_cluster(
     }
 
     let mut dist = vec![UNREACHED; n];
-    let mut visited = BitVec::new(n);
     dist[source as usize] = 0;
-    visited.set(source as usize);
-    // per-node current frontier (owned vertices only)
+    // per-node frontiers (owned vertices only): the level before the
+    // current one, the current one, and the next
+    let mut prev: Vec<Vec<VertexId>> = vec![Vec::new(); nodes];
     let mut frontiers: Vec<Vec<VertexId>> = vec![Vec::new(); nodes];
+    let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); nodes];
     frontiers[part.owner(source)].push(source);
+    let mut visited = BitVec::new(n);
+    visited.set(source as usize);
+    // this level's candidates: the distinct neighbors of every frontier
+    let mut counted = BitVec::new(n);
+    let mut candidates = vec![0u64; nodes];
+    // v is already on the current sender's remote lists
+    let mut listed = BitVec::new(if nodes > 1 { n } else { 0 });
+    let mut remote: Vec<Vec<VertexId>> = vec![Vec::new(); nodes];
     let mut level = 0u32;
 
     sim.phase("bfs:top-down");
-    loop {
-        let active: u64 = frontiers.iter().map(|f| f.len() as u64).sum();
-        if active == 0 {
-            break;
-        }
+    while frontiers.iter().any(|f| !f.is_empty()) {
         level += 1;
-        // outbox[from][to] = discovered vertices owned by `to`
-        let mut outbox: Vec<Vec<Vec<VertexId>>> = vec![vec![Vec::new(); nodes]; nodes];
-        for node in 0..nodes {
-            let mut scanned_edges = 0u64;
-            for &u in &frontiers[node] {
-                let neigh = g.adj.neighbors(u);
-                scanned_edges += neigh.len() as u64;
-                for &v in neigh {
-                    outbox[node][part.owner(v)].push(v);
-                }
-            }
+        for (node, frontier) in frontiers.iter().enumerate() {
+            let scanned: u64 = frontier.iter().map(|&u| u64::from(g.adj.degree(u))).sum();
             // Work: stream frontier + its adjacency; one visited-structure
             // probe per scanned edge. Without bit-vectors the probe
             // footprint quadruples (u32 flags vs 1 bit), costing extra
             // random accesses — the paper's "slightly over 2X" lever.
             let probe_factor = if opts.bitvector { 1 } else { 2 };
-            let mut w = edge_stream_work(scanned_edges, 1);
-            w.accumulate(Work::random(scanned_edges * probe_factor));
+            let mut w = edge_stream_work(scanned, 1);
+            w.accumulate(Work::random(scanned * probe_factor));
             sim.charge(node, w);
         }
-        // exchange: each node sends its remote discoveries
-        let mut inbox: Vec<Vec<VertexId>> = vec![Vec::new(); nodes];
-        for from in 0..nodes {
-            for (to, ids) in outbox[from].iter_mut().enumerate() {
-                ids.sort_unstable();
-                ids.dedup();
-                if to == from {
-                    inbox[to].extend(ids.iter().copied());
-                    continue;
+        if nodes == 1 && frontiers[0].len() as f64 / n as f64 > BOTTOM_UP_THRESHOLD {
+            // one node sends nothing, so a dense level may find its
+            // candidates bottom-up, as the kernel does
+            candidates[0] =
+                bottom_up_candidates(g, &prev[0], &frontiers[0], &mut visited, &mut next[0]);
+        } else {
+            // scan each sender's frontier edges: mark every candidate,
+            // claim the unvisited ones, and send each remote owner the
+            // distinct ids this sender found in its range
+            for (from, frontier) in frontiers.iter().enumerate() {
+                let home = part.range(from);
+                for &u in frontier {
+                    for &v in g.adj.neighbors(u) {
+                        let vi = v as usize;
+                        counted.set(vi);
+                        if visited.test_and_set(vi) {
+                            next[if nodes > 1 { part.owner(v) } else { 0 }].push(v);
+                        }
+                        if nodes > 1 && !home.contains(&v) && listed.test_and_set(vi) {
+                            remote[part.owner(v)].push(v);
+                        }
+                    }
                 }
-                if ids.is_empty() {
-                    continue;
+                for (to, ids) in remote.iter_mut().enumerate() {
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    ids.sort_unstable();
+                    let raw = ids.len() as u64 * 4;
+                    let wire = if opts.compression {
+                        encode_best(ids, n as u64).len() as u64
+                    } else {
+                        raw
+                    };
+                    router.send(&mut sim, from, to, wire, raw);
+                    ids.drain(..).for_each(|v| listed.clear(v as usize));
                 }
-                let raw = ids.len() as u64 * 4;
-                let wire = if opts.compression {
-                    encode_best(ids, n as u64).len() as u64
-                } else {
-                    raw
-                };
-                router.send(&mut sim, from, to, wire, raw);
-                inbox[to].extend(ids.iter().copied());
             }
+            for (node, count) in candidates.iter_mut().enumerate() {
+                let r = part.range(node);
+                *count = counted.count_ones_in(r.start as usize..r.end as usize) as u64;
+            }
+            counted.clear_all();
         }
         router.flush(&mut sim);
-        // claim and build next frontiers
-        for node in 0..nodes {
-            let mut next = Vec::new();
-            inbox[node].sort_unstable();
-            inbox[node].dedup();
-            // merging the inbox costs a probe per candidate
-            sim.charge(node, Work::random(inbox[node].len() as u64));
-            for &v in &inbox[node] {
-                if visited.test_and_set(v as usize) {
-                    dist[v as usize] = level;
-                    next.push(v);
-                }
-            }
-            frontiers[node] = next;
+        // merging the inbox costs a probe per candidate
+        for (node, &count) in candidates.iter().enumerate() {
+            sim.charge(node, Work::random(count));
         }
+        for &v in next.iter().flatten() {
+            dist[v as usize] = level;
+        }
+        // prev <- frontiers <- next <- (cleared) prev
+        std::mem::swap(&mut prev, &mut frontiers);
+        std::mem::swap(&mut frontiers, &mut next);
+        next.iter_mut().for_each(Vec::clear);
         sim.end_step()?;
     }
     sim.end_iteration();
     Ok((dist, sim.finish()))
+}
+
+/// One bottom-up level on one node. Claims every unvisited vertex with
+/// a neighbor in `frontier` into `next` (empty on entry) and returns the
+/// level's candidates: the distinct neighbors of `frontier`, visited or
+/// not. Edges are symmetric and adjacent vertices' levels differ by at
+/// most one, so a visited candidate lies in `frontier` or in the level
+/// before it (`prev`), and is one exactly when it has a frontier
+/// neighbor.
+fn bottom_up_candidates(
+    g: &UndirectedGraph,
+    prev: &[VertexId],
+    frontier: &[VertexId],
+    visited: &mut BitVec,
+    next: &mut Vec<VertexId>,
+) -> u64 {
+    let n = g.num_vertices();
+    let mut fmask = BitVec::new(n);
+    for &u in frontier {
+        fmask.set(u as usize);
+    }
+    let touches = |v: VertexId| g.adj.neighbors(v).iter().any(|&u| fmask.get(u as usize));
+    for v in 0..n as VertexId {
+        if !visited.get(v as usize) && touches(v) {
+            visited.set(v as usize);
+            next.push(v);
+        }
+    }
+    let seen_before = prev.iter().chain(frontier).filter(|&&v| touches(v)).count();
+    (next.len() + seen_before) as u64
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 
 use graphmaze_cluster::{ClusterSpec, Partition1D, Router, Sim, SimError};
 use graphmaze_graph::csr::UndirectedGraph;
-use graphmaze_graph::msbfs::WORD_SOURCES;
-use graphmaze_graph::VertexId;
+use graphmaze_graph::msbfs::{WordPass, WORD_SOURCES};
+use graphmaze_graph::{BitVec, VertexId};
 use graphmaze_metrics::{RunReport, Work};
 
 use crate::common::{edge_stream_work, send_ids_with_values, NativeOptions};
@@ -31,6 +31,12 @@ pub fn msbfs(g: &UndirectedGraph, sources: &[VertexId], threads: usize) -> Vec<V
 /// Distributed bit-parallel multi-source BFS on the simulated cluster.
 /// Returns distances identical to [`msbfs`] plus the run report. Sources
 /// beyond 64 run as consecutive word passes inside the same simulation.
+///
+/// The kernel's own level loop computes the frontiers; each level is
+/// charged from them. A node scans the edges of the frontier vertices it
+/// owns, ships the distinct remote vertices those edges bring a new bit
+/// to (ids compressed, one 8-byte mask each), and probes one seen-word
+/// per candidate it receives.
 pub fn msbfs_cluster(
     g: &UndirectedGraph,
     sources: &[VertexId],
@@ -40,6 +46,7 @@ pub fn msbfs_cluster(
     let mut sim = Sim::new(ClusterSpec::paper(nodes), opts.profile());
     let mut router = Router::new(nodes, sim.profile());
     let part = Partition1D::balanced_by_edges(&g.adj, nodes);
+    let n = g.num_vertices();
 
     let width = sources.len().min(WORD_SOURCES) as u64;
     for node in 0..nodes {
@@ -53,164 +60,81 @@ pub fn msbfs_cluster(
         )?;
     }
 
+    // v is already on the current sender's remote lists
+    let mut listed = BitVec::new(if nodes > 1 { n } else { 0 });
+    let mut remote: Vec<Vec<VertexId>> = vec![Vec::new(); nodes];
     let mut rows: Vec<Vec<u32>> = Vec::with_capacity(sources.len());
     sim.phase("msbfs:gossip");
     for group in sources.chunks(WORD_SOURCES) {
-        word_pass_cluster(
-            g,
-            group,
-            &part,
-            nodes,
-            opts.compression,
-            &mut sim,
-            &mut router,
-            &mut rows,
-        )?;
+        let mut pass = WordPass::new(&g.adj, group, 1, true);
+        while !pass.frontier().is_empty() {
+            for node in 0..nodes {
+                let scanned: u64 = owned(pass.frontier(), &part, node)
+                    .iter()
+                    .map(|&(u, _)| u64::from(g.adj.degree(u)))
+                    .sum();
+                // Work: stream frontier adjacency + one 8-byte seen-word
+                // probe per scanned edge, plus the OR (1 flop per edge).
+                let mut w = edge_stream_work(scanned, 1);
+                w.accumulate(Work::random(scanned));
+                sim.charge(node, w);
+            }
+            if nodes > 1 {
+                let seen = pass.seen();
+                for from in 0..nodes {
+                    let home = part.range(from);
+                    for &(u, m) in owned(pass.frontier(), &part, from) {
+                        for &v in g.adj.neighbors(u) {
+                            let vi = v as usize;
+                            if !home.contains(&v) && m & !seen[vi] != 0 && listed.test_and_set(vi) {
+                                remote[part.owner(v)].push(v);
+                            }
+                        }
+                    }
+                    for (to, ids) in remote.iter_mut().enumerate() {
+                        ids.sort_unstable();
+                        send_ids_with_values(
+                            &mut router,
+                            &mut sim,
+                            from,
+                            to,
+                            ids,
+                            n as u64,
+                            8,
+                            opts.compression,
+                            /* masks stay 8 bytes on the wire */ false,
+                        );
+                        ids.drain(..).for_each(|v| listed.clear(v as usize));
+                    }
+                }
+            }
+            router.flush(&mut sim);
+            pass.advance();
+            // A vertex is a candidate only if some frontier mask carried
+            // a bit it had not seen, so every candidate gains a bit: a
+            // node's candidates are exactly its share of the new frontier.
+            for node in 0..nodes {
+                let candidates = owned(pass.frontier(), &part, node).len() as u64;
+                sim.charge(node, Work::random(candidates));
+            }
+            sim.end_step()?;
+        }
+        rows.extend(pass.into_rows());
     }
     sim.end_iteration();
     Ok((rows, sim.finish()))
 }
 
-/// One 64-wide distributed pass over `group`, appending a distance row
-/// per source. Mirrors the shared-memory kernel level for level so the
-/// distances are bit-identical to [`msbfs`].
-#[allow(clippy::too_many_arguments)]
-fn word_pass_cluster(
-    g: &UndirectedGraph,
-    group: &[VertexId],
+/// The entries of an ascending frontier that `node` owns.
+fn owned<'f>(
+    frontier: &'f [(VertexId, u64)],
     part: &Partition1D,
-    nodes: usize,
-    compress: bool,
-    sim: &mut Sim,
-    router: &mut Router,
-    rows: &mut Vec<Vec<u32>>,
-) -> Result<(), SimError> {
-    let n = g.num_vertices();
-    let k = group.len();
-    if k == 0 {
-        return Ok(());
-    }
-    let mut seen = vec![0u64; n];
-    let mut dist = vec![UNREACHED; n * WORD_SOURCES];
-
-    // seed: per-node frontiers of (owned vertex, newly settled mask)
-    let mut frontiers: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); nodes];
-    {
-        let mut seeds: Vec<(VertexId, u64)> = group
-            .iter()
-            .enumerate()
-            .map(|(b, &s)| (s, 1u64 << b))
-            .collect();
-        seeds.sort_unstable_by_key(|&(v, _)| v);
-        let mut merged: Vec<(VertexId, u64)> = Vec::with_capacity(seeds.len());
-        for (v, m) in seeds {
-            match merged.last_mut() {
-                Some((lv, lm)) if *lv == v => *lm |= m,
-                _ => merged.push((v, m)),
-            }
-        }
-        for (v, m) in merged {
-            seen[v as usize] = m;
-            settle_bits(&mut dist, v, m, 0);
-            frontiers[part.owner(v)].push((v, m));
-        }
-    }
-
-    let mut level = 0u32;
-    loop {
-        let active: usize = frontiers.iter().map(|f| f.len()).sum();
-        if active == 0 {
-            break;
-        }
-        level += 1;
-        // expand: gossip frontier masks over edges into per-owner outboxes
-        let mut outbox: Vec<Vec<Vec<(VertexId, u64)>>> = vec![vec![Vec::new(); nodes]; nodes];
-        for node in 0..nodes {
-            let mut scanned_edges = 0u64;
-            for &(u, m) in &frontiers[node] {
-                let neigh = g.adj.neighbors(u);
-                scanned_edges += neigh.len() as u64;
-                for &v in neigh {
-                    if m & !seen[v as usize] != 0 {
-                        outbox[node][part.owner(v)].push((v, m));
-                    }
-                }
-            }
-            // Work: stream frontier adjacency + one 8-byte seen-word probe
-            // per scanned edge, plus the OR (1 flop per edge).
-            let mut w = edge_stream_work(scanned_edges, 1);
-            w.accumulate(Work::random(scanned_edges));
-            sim.charge(node, w);
-        }
-        // exchange: merged (id, mask) pairs; ids compressed, 8-byte masks
-        let mut inbox: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); nodes];
-        for from in 0..nodes {
-            for (to, pairs) in outbox[from].iter_mut().enumerate() {
-                let merged = merge_masks(std::mem::take(pairs));
-                if to == from {
-                    inbox[to].extend(merged);
-                    continue;
-                }
-                if merged.is_empty() {
-                    continue;
-                }
-                let ids: Vec<VertexId> = merged.iter().map(|&(v, _)| v).collect();
-                send_ids_with_values(
-                    router, sim, from, to, &ids, n as u64, 8, compress,
-                    /* masks stay 8 bytes on the wire */ false,
-                );
-                inbox[to].extend(merged);
-            }
-        }
-        router.flush(sim);
-        // settle: claim newly arrived bits at the owner, in vertex order
-        for node in 0..nodes {
-            let candidates = merge_masks(std::mem::take(&mut inbox[node]));
-            // one seen-word probe per candidate
-            sim.charge(node, Work::random(candidates.len() as u64));
-            let mut next = Vec::new();
-            for (v, m) in candidates {
-                let newly = m & !seen[v as usize];
-                if newly != 0 {
-                    seen[v as usize] |= newly;
-                    settle_bits(&mut dist, v, newly, level);
-                    next.push((v, newly));
-                }
-            }
-            frontiers[node] = next;
-        }
-        sim.end_step()?;
-    }
-
-    for b in 0..k {
-        rows.push((0..n).map(|v| dist[v * WORD_SOURCES + b]).collect());
-    }
-    Ok(())
-}
-
-/// Sorts `(vertex, mask)` pairs by vertex and ORs duplicate vertices'
-/// masks together, yielding one pair per vertex in ascending order.
-fn merge_masks(mut pairs: Vec<(VertexId, u64)>) -> Vec<(VertexId, u64)> {
-    pairs.sort_unstable_by_key(|&(v, _)| v);
-    let mut merged: Vec<(VertexId, u64)> = Vec::with_capacity(pairs.len());
-    for (v, m) in pairs {
-        match merged.last_mut() {
-            Some((lv, lm)) if *lv == v => *lm |= m,
-            _ => merged.push((v, m)),
-        }
-    }
-    merged
-}
-
-/// Records `level` for every set bit of `mask` at vertex `v` in the
-/// packed `dist[v * 64 + bit]` layout.
-fn settle_bits(dist: &mut [u32], v: VertexId, mask: u64, level: u32) {
-    let mut bits = mask;
-    while bits != 0 {
-        let b = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        dist[v as usize * WORD_SOURCES + b] = level;
-    }
+    node: usize,
+) -> &'f [(VertexId, u64)] {
+    let r = part.range(node);
+    let lo = frontier.partition_point(|&(v, _)| v < r.start);
+    let hi = frontier.partition_point(|&(v, _)| v < r.end);
+    &frontier[lo..hi]
 }
 
 #[cfg(test)]
