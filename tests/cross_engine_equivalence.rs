@@ -524,6 +524,92 @@ fn bfs_and_triangle_outputs_pass_independent_oracles_under_every_framework() {
     }
 }
 
+/// Textbook queue BFS from `source`, the msbfs oracle: it shares no
+/// code with the kernel or any engine.
+fn queue_bfs(g: &UndirectedGraph, source: u32) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; g.num_vertices()];
+    dist[source as usize] = 0;
+    let mut queue = std::collections::VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        for &v in g.adj.neighbors(u) {
+            if dist[v as usize] == u32::MAX {
+                dist[v as usize] = dist[u as usize] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
+/// msbfs is otherwise compared only to native, and native's cell and
+/// kernel share one level loop, so a bug in that loop would pass. Every
+/// ported framework's own rows are checked against a queue BFS and the
+/// Graph500-style validator instead, at 1 and 4 nodes. One graph is
+/// padded with isolated vertices and takes 100 sources (two word
+/// passes); on both, the source draw includes isolated vertices.
+#[test]
+fn msbfs_rows_pass_independent_oracles_under_every_ported_framework() {
+    let el = rmat::generate(&RmatConfig {
+        scale: 7,
+        edge_factor: 8,
+        params: RmatParams::GRAPH500,
+        seed: 240,
+        scramble_ids: true,
+        threads: 1,
+    });
+    let padded =
+        EdgeList::from_edges(2 * el.num_vertices(), el.edges().to_vec()).expect("ids in range");
+    let ported = [
+        Framework::Native,
+        Framework::CombBlas,
+        Framework::GraphLab,
+        Framework::Giraph,
+        Framework::GraphMat,
+    ];
+    for (wl, count) in [
+        (
+            Workload::from_edge_list("msbfs-oracle-padded", &padded),
+            100,
+        ),
+        (Workload::rmat(8, 4, 241), 64),
+    ] {
+        let g = wl.undirected().unwrap();
+        let params = BenchParams {
+            msbfs_sources: count,
+            ..BenchParams::default()
+        };
+        let sources = graphmaze_core::runner::msbfs_sources(
+            g.num_vertices() as u32,
+            count,
+            params.msbfs_seed,
+        );
+        assert!(
+            sources.iter().any(|&s| g.adj.degree(s) == 0),
+            "{}: the draw must include an isolated source",
+            wl.name
+        );
+        let want: Vec<Vec<u32>> = sources.iter().map(|&s| queue_bfs(g, s)).collect();
+        for fw in ported {
+            for nodes in [1usize, 4] {
+                let rows = msbfs_rows_for(fw, &wl, nodes, &params);
+                assert_eq!(rows.len(), sources.len(), "{fw:?} x{nodes} on {}", wl.name);
+                for (i, (&s, row)) in sources.iter().zip(&rows).enumerate() {
+                    assert!(
+                        validate_distances(g, s, row),
+                        "{fw:?} x{nodes} on {}: invalid row {i} from {s}",
+                        wl.name
+                    );
+                    assert!(
+                        *row == want[i],
+                        "{fw:?} x{nodes} on {}: row {i} from {s} differs from queue BFS",
+                        wl.name
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Stronger than the digest matrix: the *per-vertex* PageRank and BFS
 /// vectors agree elementwise across all eight engine variants (including
 /// the unoptimized SociaLite and the lowered GraphMat). This is the same machinery the diff

@@ -215,10 +215,11 @@ fn bfs_distances_validate() {
 /// must produce exactly the same distance rows as 64 independent scalar
 /// BFS runs, on both ER-style random graphs and RMAT graphs, and the
 /// batch must be bit-identical at every thread count (the kernel's
-/// `fetch_or` gossip commutes, so settle order cannot leak in).
+/// `fetch_or` gossip commutes, so settle order cannot leak in) and with
+/// the direction-optimizing bottom-up gather on.
 #[test]
 fn msbfs_batch_matches_independent_scalar_bfs_runs() {
-    use graphmaze_core::graph::msbfs::msbfs as msbfs_kernel;
+    use graphmaze_core::graph::msbfs::{msbfs as msbfs_kernel, msbfs_with};
 
     for case in 0..8u64 {
         let mut rng = TestRng(0xB1B0 + case);
@@ -257,6 +258,11 @@ fn msbfs_batch_matches_independent_scalar_bfs_runs() {
                 msbfs_kernel(&g.adj, &sources, threads),
                 batch,
                 "case {case}: rows depend on thread count {threads}"
+            );
+            assert_eq!(
+                msbfs_with(&g.adj, &sources, threads, true),
+                batch,
+                "case {case}: direction-optimizing rows differ at {threads} threads"
             );
         }
     }
