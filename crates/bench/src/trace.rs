@@ -27,8 +27,10 @@
 use std::io::Write as _;
 use std::path::Path;
 
+use graphmaze_core::flatjson::JsonStr;
 use graphmaze_core::metrics::{SpanRecord, StepRecord, Timeline, SPAN_STAGES};
 use graphmaze_core::prelude::*;
+use graphmaze_core::report::push_csv_cell;
 
 /// Lane names, in tid order (tid = index + 1).
 const LANES: [&str; 6] = [
@@ -77,7 +79,7 @@ pub fn write_sweep_trace(
             &mut first,
             &format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                esc(&process)
+                JsonStr(&process)
             ),
         );
         for (t, lane) in LANES.iter().enumerate() {
@@ -108,7 +110,7 @@ pub fn write_sweep_trace(
                         &mut first,
                         &format!(
                             "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"step\":{}{extra}}}}}",
-                            esc(&rec.phase),
+                            JsonStr(&rec.phase),
                             tid0 + 1,
                             us(cursor),
                             us(*dur_s),
@@ -170,12 +172,12 @@ pub fn write_serve_trace(path: &Path, spans: &[SpanRecord]) -> std::io::Result<u
                     &mut first,
                     &format!(
                         "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"id\":\"{}\",\"outcome\":\"{}\"}}}}",
-                        esc(&span.label),
+                        JsonStr(&span.label),
                         tid0 + 1,
                         us(cursor),
                         us(dur_s),
-                        esc(&span.id),
-                        esc(span.outcome),
+                        JsonStr(&span.id),
+                        JsonStr(span.outcome),
                     ),
                 );
             }
@@ -201,19 +203,6 @@ fn push_event(out: &mut String, first: &mut bool, ev: &str) {
 /// output is scheduling-independent.
 fn us(seconds: f64) -> String {
     format!("{:?}", seconds * 1e6)
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `a/b c` → `a-b-c`: keep filenames portable.
@@ -242,8 +231,12 @@ fn write_cell_csv(
         sanitize(&cell.label),
         cell.nodes,
     );
-    let rows: Vec<Vec<String>> = tl.steps.iter().map(|r| r.cells().into()).collect();
-    let body = graphmaze_core::report::format_csv(&StepRecord::COLUMNS, &rows);
+    let mut body = StepRecord::COLUMNS.join(",");
+    body.push('\n');
+    for r in &tl.steps {
+        r.write_cells(&mut body, ',', push_csv_cell);
+        body.push('\n');
+    }
     std::fs::write(cell_dir.join(name), body)
 }
 

@@ -269,3 +269,34 @@ fn no_experiment_is_a_usage_error_that_keeps_the_journal() {
     assert!(String::from_utf8_lossy(&run.stderr).starts_with("error: no experiment"));
     assert_eq!(std::fs::read_to_string(&journal).unwrap(), "{}\n");
 }
+
+#[test]
+fn serve_trace_labels_read_back_unchanged_through_a_strict_json_reader() {
+    use graphmaze_core::metrics::SpanRecord;
+    let label = "q\"uote \\ back\nline \u{1} ctl";
+    let span = SpanRecord {
+        id: "id\n1".into(),
+        label: label.into(),
+        outcome: "miss",
+        start_s: 0.0,
+        queue_ns: 0,
+        lookup_ns: 0,
+        execute_ns: 5_000,
+        respond_ns: 0,
+        total_ns: 5_000,
+    };
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_properties/serve-trace");
+    let path = dir.join("serve.trace.json");
+    graphmaze_bench::trace::write_serve_trace(&path, &[span]).expect("trace written");
+    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("one JSON document");
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array");
+    };
+    let execute = events
+        .iter()
+        .find(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .expect("the execute stage is an X event");
+    assert_eq!(execute.get("name").and_then(Json::as_str), Some(label));
+    let args = execute.get("args").expect("args");
+    assert_eq!(args.get("id").and_then(Json::as_str), Some("id\n1"));
+}

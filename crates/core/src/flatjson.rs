@@ -14,21 +14,33 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::BuildHasher;
 
-/// Appends `s` to `out`, escaped for use inside a JSON string literal.
-#[inline]
-fn push_escaped(out: &mut String, s: &str) {
-    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        push_with_escapes(out, s);
-    } else {
-        out.push_str(s);
+/// `s` escaped for use inside a JSON string literal, as a `format!`
+/// argument: `"`, `\` and control characters become escapes (`\n`,
+/// `\t`, `\r` by name, the rest as `\u00XX`), everything else is kept.
+/// The one JSON string spelling in the workspace.
+pub struct JsonStr<'a>(pub &'a str);
+
+impl std::fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write_escaped(f, self.0)
     }
 }
 
-/// [`push_escaped`] for a string that needs at least one escape, kept out
-/// of line so the common path stays small.
+/// Writes `s` to `out`, escaped for use inside a JSON string literal.
+#[inline]
+fn write_escaped<W: std::fmt::Write>(out: &mut W, s: &str) -> std::fmt::Result {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        write_with_escapes(out, s)
+    } else {
+        out.write_str(s)
+    }
+}
+
+/// [`write_escaped`] for a string that needs at least one escape, kept
+/// out of line so the common path stays small.
 #[cold]
 #[inline(never)]
-fn push_with_escapes(out: &mut String, s: &str) {
+fn write_with_escapes<W: std::fmt::Write>(out: &mut W, s: &str) -> std::fmt::Result {
     let mut run = 0;
     for (i, c) in s.char_indices() {
         let escape = match c {
@@ -40,15 +52,15 @@ fn push_with_escapes(out: &mut String, s: &str) {
             c if (c as u32) < 0x20 => "",
             _ => continue,
         };
-        out.push_str(&s[run..i]);
+        out.write_str(&s[run..i])?;
         if escape.is_empty() {
-            let _ = write!(out, "\\u{:04x}", c as u32);
+            write!(out, "\\u{:04x}", c as u32)?;
         } else {
-            out.push_str(escape);
+            out.write_str(escape)?;
         }
         run = i + c.len_utf8();
     }
-    out.push_str(&s[run..]);
+    out.write_str(&s[run..])
 }
 
 /// Appends `v` in shortest-round-trip form, quoting non-finite values.
@@ -247,7 +259,7 @@ impl FlatJsonBuilder {
     fn key(&mut self, key: &str) {
         self.buf.push(if self.buf.is_empty() { '{' } else { ',' });
         self.buf.push('"');
-        push_escaped(&mut self.buf, key);
+        let _ = write_escaped(&mut self.buf, key);
         self.buf.push_str("\":");
     }
 
@@ -255,7 +267,7 @@ impl FlatJsonBuilder {
     pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
         self.buf.push('"');
-        push_escaped(&mut self.buf, value);
+        let _ = write_escaped(&mut self.buf, value);
         self.buf.push('"');
         self
     }

@@ -43,20 +43,34 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Renders rows as CSV (minimal quoting: fields containing commas or
 /// quotes are double-quoted).
 pub fn format_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let esc = |s: &str| -> String {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    };
-    let mut out = headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",");
-    out.push('\n');
+    let mut out = String::new();
+    push_csv_row(&mut out, headers.iter().copied());
     for row in rows {
-        out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
+        push_csv_row(&mut out, row.iter().map(String::as_str));
     }
     out
+}
+
+fn push_csv_row<'a>(out: &mut String, cells: impl Iterator<Item = &'a str>) {
+    for (i, cell) in cells.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_csv_cell(out, cell);
+    }
+    out.push('\n');
+}
+
+/// Appends one CSV cell to `out`: quoted, with quotes doubled, when it
+/// holds a comma, a quote or a newline; verbatim otherwise.
+pub fn push_csv_cell(out: &mut String, s: &str) {
+    if s.contains(',') || s.contains('"') || s.contains('\n') {
+        out.push('"');
+        out.push_str(&s.replace('"', "\"\""));
+        out.push('"');
+    } else {
+        out.push_str(s);
+    }
 }
 
 /// Formats seconds with sensible precision for log-scale comparisons.

@@ -989,12 +989,17 @@ fn get_series(fields: &impl FlatFields, r: &mut RunReport) -> Option<()> {
     Some(())
 }
 
-/// Percent-escapes the timeline delimiters (`%`, `|`, `;`) in a phase
-/// label so records stay splittable.
-fn esc_phase(s: &str) -> String {
-    s.replace('%', "%25")
-        .replace('|', "%7C")
-        .replace(';', "%3B")
+/// Appends `s` to `out` with the timeline delimiters (`%`, `|`, `;`)
+/// percent-escaped, so records stay splittable.
+fn push_esc_phase(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '%' => out.push_str("%25"),
+            '|' => out.push_str("%7C"),
+            ';' => out.push_str("%3B"),
+            c => out.push(c),
+        }
+    }
 }
 
 fn unesc_phase(s: &str) -> String {
@@ -1006,19 +1011,17 @@ fn unesc_phase(s: &str) -> String {
 }
 
 /// Encodes a [`Timeline`]'s steps as one string value: each step's
-/// [`StepRecord::cells`] joined by `|`, steps joined by `;`. The phase
-/// is the only cell that can hold a delimiter, so it alone is escaped.
+/// cells ([`StepRecord::write_cells`]) joined by `|`, steps joined by
+/// `;`. The phase is the only cell that can hold a delimiter, so it
+/// alone is escaped.
 fn timeline_string(tl: &Timeline) -> String {
-    let steps: Vec<String> = tl
-        .steps
-        .iter()
-        .map(|r| {
-            let mut cells = r.cells();
-            cells[1] = esc_phase(&r.phase);
-            cells.join("|")
-        })
-        .collect();
-    steps.join(";")
+    let mut out = String::new();
+    for r in &tl.steps {
+        r.write_cells(&mut out, '|', push_esc_phase);
+        out.push(';');
+    }
+    out.pop();
+    out
 }
 
 fn timeline_from_string(nodes: usize, s: &str) -> Option<Timeline> {
@@ -1594,7 +1597,9 @@ mod tests {
     #[test]
     fn phase_escaping_round_trips() {
         for s in ["", "plain", "%", "%%", "|;%", "a%7Cb", "%25", "x|y;z"] {
-            assert_eq!(unesc_phase(&esc_phase(s)), s, "label {s:?}");
+            let mut escaped = String::new();
+            push_esc_phase(&mut escaped, s);
+            assert_eq!(unesc_phase(&escaped), s, "label {s:?}");
         }
     }
 

@@ -15,6 +15,8 @@
 //! `timeline.total_seconds() == report.sim_seconds` holds bit-for-bit,
 //! and `timeline.total_bytes() == report.traffic.bytes_sent` likewise.
 
+use std::fmt::Write as _;
+
 /// One BSP step as folded by the simulator's barrier.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepRecord {
@@ -68,22 +70,71 @@ impl StepRecord {
     }
 }
 
-/// Declares [`StepRecord`]'s columns once, in order — each one's name,
-/// field and spelling — and generates `COLUMNS`, `cells` and
+/// How one column's value is spelled in a cell: integers in decimal,
+/// f64s shortest-round-trip (`{:?}`, so non-finite values read
+/// "inf"/"NaN", which `f64::from_str` parses back) and text through the
+/// writer's escaper.
+trait Cell {
+    fn write_cell(&self, out: &mut String, text: &impl Fn(&mut String, &str));
+}
+
+impl Cell for u32 {
+    fn write_cell(&self, out: &mut String, _: &impl Fn(&mut String, &str)) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Cell for u64 {
+    fn write_cell(&self, out: &mut String, _: &impl Fn(&mut String, &str)) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Cell for f64 {
+    fn write_cell(&self, out: &mut String, _: &impl Fn(&mut String, &str)) {
+        let _ = write!(out, "{self:?}");
+    }
+}
+
+impl Cell for String {
+    fn write_cell(&self, out: &mut String, text: &impl Fn(&mut String, &str)) {
+        text(out, self);
+    }
+}
+
+/// Declares [`StepRecord`]'s columns once, in order — each one's name
+/// and field — and generates `COLUMNS`, `write_cells`, `cells` and
 /// `from_cells` from that one list.
 macro_rules! step_columns {
-    ($($name:literal => $field:ident: $fmt:literal,)*) => {
+    ($($name:literal => $field:ident,)*) => {
         impl StepRecord {
             /// The column names, in order: the per-step trace CSV's header.
             pub const COLUMNS: [&'static str; 12] = [$($name),*];
 
+            /// Appends the record to `out` as one cell per column with
+            /// `sep` between cells (see [`StepRecord::cells`] for the
+            /// spelling). The phase goes through `text`, which escapes
+            /// whatever `sep` and the caller's format reserve. The
+            /// journal's timeline string and the per-step trace CSV are
+            /// both written this way, straight into their buffers.
+            pub fn write_cells(&self, out: &mut String, sep: char, text: impl Fn(&mut String, &str)) {
+                $(
+                    self.$field.write_cell(out, &text);
+                    out.push(sep);
+                )*
+                out.pop();
+            }
+
             /// The record as one text cell per column: integers in
             /// decimal, f64s shortest-round-trip (`{:?}`, so non-finite
             /// values read "inf"/"NaN", which `f64::from_str` parses back)
-            /// and the phase verbatim. The journal's timeline string and
-            /// the per-step trace CSV are both made of these cells.
+            /// and the phase verbatim.
             pub fn cells(&self) -> [String; 12] {
-                [$(format!($fmt, self.$field)),*]
+                [$({
+                    let mut cell = String::new();
+                    self.$field.write_cell(&mut cell, &|out: &mut String, s: &str| out.push_str(s));
+                    cell
+                }),*]
             }
 
             /// The inverse of [`StepRecord::cells`]: `None` unless there
@@ -101,18 +152,18 @@ macro_rules! step_columns {
 }
 
 step_columns! {
-    "step" => step: "{}",
-    "phase" => phase: "{}",
-    "compute_s" => compute_s: "{:?}",
-    "comm_s" => comm_s: "{:?}",
-    "barrier_s" => barrier_s: "{:?}",
-    "recovery_s" => recovery_s: "{:?}",
-    "resilience_s" => resilience_s: "{:?}",
-    "rebalance_s" => rebalance_s: "{:?}",
-    "bytes_sent" => bytes_sent: "{}",
-    "messages" => messages: "{}",
-    "max_node_bytes" => max_node_bytes: "{}",
-    "mem_peak_bytes" => mem_peak_bytes: "{}",
+    "step" => step,
+    "phase" => phase,
+    "compute_s" => compute_s,
+    "comm_s" => comm_s,
+    "barrier_s" => barrier_s,
+    "recovery_s" => recovery_s,
+    "resilience_s" => resilience_s,
+    "rebalance_s" => rebalance_s,
+    "bytes_sent" => bytes_sent,
+    "messages" => messages,
+    "max_node_bytes" => max_node_bytes,
+    "mem_peak_bytes" => mem_peak_bytes,
 }
 
 /// Time/bytes aggregated over all steps sharing one phase label.
