@@ -60,13 +60,6 @@ const OPTIONS: OptionTable = OptionTable {
              ckpt=2 (see DESIGN.md \"Resilience\")",
         ),
         Opt::value(
-            "--frameworks",
-            "LIST",
-            "comma-separated framework filter for the experiments\n\
-             that honour one (ninjagap), e.g. giraph,graphmat;\n\
-             the native baseline always runs",
-        ),
-        Opt::value(
             "--cell-timeout",
             "SECS",
             "abandon any sweep cell that exceeds SECS wall-clock\n\
@@ -162,12 +155,6 @@ fn main() {
     if let Some(spec) = parsed.raw("--faults") {
         cfg.faults = graphmaze_core::cluster::FaultPlan::parse(spec)
             .unwrap_or_else(|e| die(&format!("bad --faults spec: {e}")));
-    }
-    if let Some(spec) = parsed.raw("--frameworks") {
-        cfg.frameworks = Some(
-            graphmaze_bench::cli::parse_framework_filter(spec)
-                .unwrap_or_else(|e| die(&format!("bad --frameworks spec: {e}"))),
-        );
     }
     if let Some(secs) = or_die(parsed.num("--cell-timeout")) {
         if !secs.is_finite() || secs < 0.0 {

@@ -11,44 +11,6 @@
 
 use std::collections::HashMap;
 
-use graphmaze_core::cluster::span_err;
-use graphmaze_core::runner::Framework;
-
-/// Parses a comma-separated `--frameworks` filter (e.g.
-/// `giraph,graphmat`) against the extended framework set. Unknown names
-/// fail with a caret pointing at the offending segment of the spec and
-/// the list of valid spellings — the same shape as the `FaultPlan`
-/// parser's errors.
-pub fn parse_framework_filter(spec: &str) -> Result<Vec<Framework>, String> {
-    let mut out = Vec::new();
-    let mut at = 0usize;
-    for part in spec.split(',') {
-        let name = part.trim();
-        let name_at = at + (part.len() - part.trim_start().len());
-        let found = Framework::EXTENDED.into_iter().find(|f| f.name() == name);
-        match found {
-            Some(fw) => {
-                if !out.contains(&fw) {
-                    out.push(fw);
-                }
-            }
-            None => {
-                return Err(span_err(
-                    spec,
-                    name_at,
-                    name.len(),
-                    format!(
-                        "unknown framework `{name}` (expected one of: {})",
-                        Framework::EXTENDED.map(|f| f.name()).join(", ")
-                    ),
-                ))
-            }
-        }
-        at += part.len() + 1;
-    }
-    Ok(out)
-}
-
 /// One option in a table.
 #[derive(Clone, Copy, Debug)]
 pub struct Opt {
@@ -227,26 +189,6 @@ mod tests {
             Opt::value("--out", "DIR", "output directory\n(second line)"),
         ],
     };
-
-    #[test]
-    fn framework_filter_parses_and_points_at_bad_segments() {
-        assert_eq!(
-            parse_framework_filter("giraph,graphmat").unwrap(),
-            vec![Framework::Giraph, Framework::GraphMat]
-        );
-        // duplicates collapse, whitespace tolerated
-        assert_eq!(
-            parse_framework_filter("native, native").unwrap(),
-            vec![Framework::Native]
-        );
-        let err = parse_framework_filter("giraph,graphmatt,native").unwrap_err();
-        assert!(err.contains("unknown framework `graphmatt`"), "{err}");
-        assert!(err.contains("galois, graphmat"), "lists valid names: {err}");
-        assert!(
-            err.ends_with("\n  giraph,graphmatt,native\n         ^^^^^^^^^"),
-            "caret under the bad segment: {err}"
-        );
-    }
 
     #[test]
     fn parses_values_flags_aliases_and_positionals() {

@@ -16,6 +16,7 @@ pub mod tables;
 
 use graphmaze_core::cluster::with_work_scale;
 use graphmaze_core::prelude::*;
+use graphmaze_core::report::{fmt_secs, fmt_slowdown, geomean};
 use graphmaze_core::sweep::CellResult;
 
 use crate::ReproConfig;
@@ -171,88 +172,101 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
+/// The five frameworks of the paper's multi-node runs (Figures 4–6; Galois
+/// is single-node only), also used by the communication matrix and the
+/// resilience curve.
+pub(crate) const MULTI_NODE: [Framework; 5] = [
+    Framework::Native,
+    Framework::CombBlas,
+    Framework::GraphLab,
+    Framework::SociaLite,
+    Framework::Giraph,
+];
+
+/// A Table 3 stand-in scaled down to about `cfg.target_scale`.
+fn dataset(cfg: &ReproConfig, ds: Dataset) -> WorkloadSpec {
+    WorkloadSpec::Dataset {
+        ds,
+        scale_down: ds.scale_down_to(cfg.target_scale),
+        seed: cfg.seed,
+    }
+}
+
 /// The Fig 3 graph datasets (real-world stand-ins + one synthetic) as
 /// workload specs, with per-dataset scale-downs that bring them near
 /// `cfg.target_scale`. Building through the cache here (to size the
-/// extrapolation factor) means the sweep executor gets cache hits.
+/// extrapolation factor) means the sweep executor gets cache hits. Each
+/// dataset has one factor, sized by its directed edges, for every
+/// algorithm that runs on it.
 pub fn fig3_graph_specs(cfg: &ReproConfig) -> Vec<(String, WorkloadSpec, f64)> {
-    let mut out = Vec::new();
-    for ds in [
+    let real = [
         Dataset::LiveJournalLike,
         Dataset::FacebookLike,
         Dataset::WikipediaLike,
-    ] {
-        let info = ds.spec();
-        let full = 64 - (info.num_vertices.max(1) - 1).leading_zeros();
-        let scale_down = full.saturating_sub(cfg.target_scale);
-        let spec = WorkloadSpec::Dataset {
-            ds,
-            scale_down,
-            seed: cfg.seed,
-        };
-        let actual = cfg.workload(&spec).directed().expect("graph").num_edges();
-        let factor = cfg.scale_factor(info.num_edges, actual);
-        out.push((info.name.to_string(), spec, factor));
-    }
+    ];
     // the synthetic RMAT dataset of Fig 3. The paper picks sizes "so
     // that all frameworks could complete without running out of memory"
     // (§5.3); scale 24 keeps even Giraph's whole-superstep buffers under
     // 64 GB on one node.
-    let spec = WorkloadSpec::Rmat {
-        scale: cfg.target_scale,
-        edge_factor: 16,
-        seed: cfg.seed,
-    };
-    let actual = cfg.workload(&spec).directed().expect("graph").num_edges();
-    let paper = Dataset::Graph500 { scale: 24 }.spec().num_edges;
-    out.push(("synthetic".into(), spec, cfg.scale_factor(paper, actual)));
-    out
+    let synthetic = Dataset::Graph500 { scale: 24 }.spec().num_edges;
+    real.into_iter()
+        .map(|ds| (ds.spec().name, dataset(cfg, ds), ds.spec().num_edges))
+        .chain([("synthetic", cfg.rmat(cfg.target_scale), synthetic)])
+        .map(|(name, spec, paper)| {
+            let factor = cfg.factor(&spec, Algorithm::PageRank, paper);
+            (name.to_string(), spec, factor)
+        })
+        .collect()
 }
 
 /// The Fig 3 ratings datasets (Netflix stand-in + synthetic) as specs.
+/// K substitution (paper ≈1024, ours 32) is documented in DESIGN.md; the
+/// factor scales only the rating count so memory stays faithful.
 pub fn fig3_ratings_specs(cfg: &ReproConfig) -> Vec<(String, WorkloadSpec, f64)> {
-    let mut out = Vec::new();
-    let info = Dataset::NetflixLike.spec();
-    let full = 64 - (info.num_vertices.max(1) - 1).leading_zeros();
-    let scale_down = full.saturating_sub(cfg.target_scale.min(full));
-    let spec = WorkloadSpec::Dataset {
-        ds: Dataset::NetflixLike,
-        scale_down,
-        seed: cfg.seed,
-    };
-    let actual = cfg
-        .workload(&spec)
-        .ratings()
-        .expect("ratings")
-        .num_ratings();
-    // K substitution (paper ≈1024, ours 32) is documented in DESIGN.md;
-    // the factor scales only the rating count so memory stays faithful.
-    out.push((
-        "netflix".into(),
-        spec,
-        cfg.scale_factor(info.num_edges, actual),
-    ));
-    let spec = WorkloadSpec::RmatRatings {
+    let synthetic = WorkloadSpec::RmatRatings {
         scale: cfg.target_scale,
         num_items: 1 << (cfg.target_scale / 2),
         seed: cfg.seed,
     };
-    let actual = cfg
-        .workload(&spec)
-        .ratings()
-        .expect("ratings")
-        .num_ratings();
-    out.push((
-        "synthetic".into(),
-        spec,
-        cfg.scale_factor(500_000_000, actual),
-    ));
-    out
+    [
+        (
+            "netflix",
+            dataset(cfg, Dataset::NetflixLike),
+            Dataset::NetflixLike.spec().num_edges,
+        ),
+        ("synthetic", synthetic, 500_000_000),
+    ]
+    .into_iter()
+    .map(|(name, spec, paper)| {
+        let factor = cfg.factor(&spec, Algorithm::CollaborativeFiltering, paper);
+        (name.to_string(), spec, factor)
+    })
+    .collect()
+}
+
+/// A sweep cell paired with its result.
+pub(crate) type Measured = (SweepCell, CellResult);
+
+/// Runs `cells` as the sweep `experiment` and pairs every cell with its
+/// result, in declaration order. Renderers chunk the pairs by the width
+/// of the innermost declaration loop, so a row's cells carry their own
+/// labels and frameworks.
+pub(crate) fn measure(
+    cfg: &ReproConfig,
+    experiment: &str,
+    cells: impl IntoIterator<Item = SweepCell>,
+) -> Vec<Measured> {
+    let sweep = Sweep {
+        experiment: experiment.to_string(),
+        cells: cells.into_iter().collect(),
+    };
+    let report = crate::run_sweep(cfg, &sweep);
+    sweep.cells.into_iter().zip(report.results).collect()
 }
 
 /// Runs one cell of the benchmark crossbar under `factor` extrapolation,
-/// returning the report or the error string the paper's figures annotate
-/// (OOM / single-node-only). Direct (non-sweep) experiments use this.
+/// returning the report or the annotation its failure carries in the
+/// paper's figures. Direct (non-sweep) experiments use this.
 pub fn run_cell(
     alg: Algorithm,
     fw: Framework,
@@ -260,25 +274,22 @@ pub fn run_cell(
     nodes: usize,
     factor: f64,
     params: &BenchParams,
-) -> Result<RunReport, String> {
+) -> Result<RunReport, &'static str> {
     with_work_scale(factor, || {
         run_benchmark(alg, fw, wl, nodes, params)
             .map(|o| o.report)
-            .map_err(|e| match e {
-                SimError::OutOfMemory(_) => "OOM".to_string(),
-                SimError::InvalidConfig(_) => "n/a".to_string(),
-                SimError::NodeFailed { .. } => "failed".to_string(),
-            })
+            .map_err(|e| CellError::from(e).annotation())
     })
 }
 
 /// The report of a sweep cell, or the annotation string its failure mode
 /// carries in the paper's figures (OOM / n/a / fail).
-pub fn cell_report(result: &CellResult) -> Result<&RunReport, String> {
-    match &result.outcome {
-        Ok(o) => Ok(&o.report),
-        Err(e) => Err(e.annotation().to_string()),
-    }
+pub fn cell_report(result: &CellResult) -> Result<&RunReport, &'static str> {
+    result
+        .outcome
+        .as_ref()
+        .map(|o| &o.report)
+        .map_err(CellError::annotation)
 }
 
 /// Reported time for an algorithm: per-iteration where the paper uses
@@ -289,4 +300,63 @@ pub fn reported_seconds(alg: Algorithm, r: &RunReport) -> f64 {
     } else {
         r.sim_seconds
     }
+}
+
+/// A measured cell's reported seconds, or its failure annotation.
+fn seconds((cell, result): &Measured) -> Result<f64, &'static str> {
+    cell_report(result).map(|r| reported_seconds(cell.algorithm, r))
+}
+
+/// `num / den`, or the annotation of the side that failed (the
+/// denominator's when both did).
+fn ratio(
+    num: Result<f64, &'static str>,
+    den: Result<f64, &'static str>,
+) -> Result<f64, &'static str> {
+    den.and_then(|d| num.map(|n| n / d))
+}
+
+/// A rendered value, or the failure annotation in its place.
+fn or_annotation<T>(value: Result<T, &'static str>, render: impl FnOnce(T) -> String) -> String {
+    value.map_or_else(str::to_string, render)
+}
+
+/// A table row: `label`, then each cell's reported seconds or failure
+/// annotation.
+fn seconds_row(label: String, row: &[Measured]) -> Vec<String> {
+    std::iter::once(label)
+        .chain(row.iter().map(|m| or_annotation(seconds(m), fmt_secs)))
+        .collect()
+}
+
+/// A header row: `first`, then the framework of each cell of `row`.
+fn framework_headers<'a>(first: &'a str, row: &[Measured]) -> Vec<&'a str> {
+    std::iter::once(first)
+        .chain(row.iter().map(|(c, _)| c.framework.name()))
+        .collect()
+}
+
+/// Adds each cell's slowdown over the row's first (native) cell to its
+/// column of `cols`. A row whose native cell failed adds nothing.
+fn add_slowdowns(row: &[Measured], cols: &mut [Vec<f64>]) {
+    let native = seconds(&row[0]);
+    for (col, m) in cols.iter_mut().zip(&row[1..]) {
+        if let Ok(s) = ratio(seconds(m), native) {
+            col.push(s);
+        }
+    }
+}
+
+/// A Table 5/6 row: `label`, then each column's geomean slowdown, or
+/// n/a for a column without one.
+fn geomean_row(label: &str, cols: &[Vec<f64>]) -> Vec<String> {
+    std::iter::once(label.to_string())
+        .chain(cols.iter().map(|v| {
+            if v.is_empty() {
+                "n/a".to_string()
+            } else {
+                fmt_slowdown(geomean(v))
+            }
+        }))
+        .collect()
 }

@@ -80,10 +80,6 @@ pub struct ReproConfig {
     /// disables). Cells over budget record a `timeout` outcome in the
     /// journal and are quarantined by `--resume` instead of re-running.
     pub cell_timeout: Option<std::time::Duration>,
-    /// Framework filter for the experiments that honour one
-    /// (`--frameworks LIST`; `None` runs each experiment's full set).
-    /// The native baseline always runs regardless.
-    pub frameworks: Option<Vec<Framework>>,
     /// Workloads built so far, shared by every experiment in this
     /// process.
     pub cache: Arc<WorkloadCache>,
@@ -108,7 +104,6 @@ impl Default for ReproConfig {
             trace_dir: None,
             faults: FaultPlan::none(),
             cell_timeout: None,
-            frameworks: None,
             cache: Arc::new(WorkloadCache::new()),
             stats: Arc::new(RunStats::default()),
             telemetry: None,
@@ -125,6 +120,53 @@ impl ReproConfig {
             (paper_edges as f64 / actual_edges.max(1) as f64).max(1.0)
         } else {
             1.0
+        }
+    }
+
+    /// Extrapolation factor of `spec` against a paper input of
+    /// `paper_edges`, measured on the view `alg` reads: oriented edges
+    /// for triangle counting, ratings for CF, directed edges otherwise.
+    pub(crate) fn factor(&self, spec: &WorkloadSpec, alg: Algorithm, paper_edges: u64) -> f64 {
+        let wl = self.workload(spec);
+        let actual = match alg {
+            Algorithm::TriangleCount => wl.oriented().map(|g| g.num_edges()),
+            Algorithm::CollaborativeFiltering => wl.ratings().map(|g| g.num_ratings()),
+            _ => wl.directed().map(|g| g.num_edges()),
+        };
+        self.scale_factor(paper_edges, actual.expect("the view the algorithm reads"))
+    }
+
+    /// The Graph500 RMAT input (edge factor 16) at `scale`, under the
+    /// run's seed.
+    pub(crate) fn rmat(&self, scale: u32) -> WorkloadSpec {
+        WorkloadSpec::Rmat {
+            scale,
+            edge_factor: 16,
+            seed: self.seed,
+        }
+    }
+
+    /// A sweep cell with the standard parameters under the run's fault
+    /// plan: the one place every cell field is spelled. A cell with a
+    /// plan of its own is `SweepCell { faults, ..cfg.cell(…) }`.
+    pub(crate) fn cell(
+        &self,
+        label: impl Into<String>,
+        algorithm: Algorithm,
+        framework: Framework,
+        spec: &WorkloadSpec,
+        nodes: usize,
+        factor: f64,
+    ) -> SweepCell {
+        SweepCell {
+            label: label.into(),
+            algorithm,
+            framework,
+            spec: spec.clone(),
+            nodes,
+            factor,
+            params: standard_params(),
+            faults: self.faults,
         }
     }
 
@@ -152,10 +194,16 @@ impl ReproConfig {
 
     /// Writes a CSV artifact if an output directory is configured.
     pub fn write_csv(&self, name: &str, headers: &[&str], rows: &[Vec<String>]) {
+        let body = graphmaze_core::report::format_csv(headers, rows);
+        self.write_artifact(&format!("{name}.csv"), &body);
+    }
+
+    /// Writes `body` to the file `name` in the output directory, if one
+    /// is configured; a failed write is a warning, not an abort.
+    pub(crate) fn write_artifact(&self, name: &str, body: &str) {
         if let Some(dir) = &self.out_dir {
             let _ = std::fs::create_dir_all(dir);
-            let path = dir.join(format!("{name}.csv"));
-            let body = graphmaze_core::report::format_csv(headers, rows);
+            let path = dir.join(name);
             if let Err(e) = std::fs::write(&path, body) {
                 eprintln!("warning: failed to write {}: {e}", path.display());
             }

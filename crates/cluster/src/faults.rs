@@ -656,7 +656,7 @@ impl std::fmt::Display for FaultPlan {
 
 /// Formats a parse error with a caret line pointing at the offending
 /// span of the spec. Shared by every spec-string parser in the repo
-/// (fault plans, serve requests, `--frameworks` filters) so all of
+/// (fault plans, serve requests) so all of
 /// them fail with the same shape of message.
 pub fn span_err(spec: &str, at: usize, len: usize, msg: String) -> String {
     format!(

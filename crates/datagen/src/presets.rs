@@ -132,12 +132,25 @@ impl Dataset {
         self.spec().bipartite
     }
 
+    /// RMAT scale of the dataset at paper size: ceil(log2 V).
+    fn full_scale(&self) -> u32 {
+        self.spec()
+            .num_vertices
+            .max(1)
+            .next_power_of_two()
+            .trailing_zeros()
+    }
+
+    /// The scale-down that brings the dataset to RMAT scale `target`,
+    /// or none when it is smaller than that at paper size.
+    pub fn scale_down_to(&self, target: u32) -> u32 {
+        self.full_scale().saturating_sub(target)
+    }
+
     /// RMAT scale (log2 vertices) for this dataset after dividing paper
     /// scale by `2^scale_down`, clamped to a minimum of 8.
     pub fn scaled_scale(&self, scale_down: u32) -> u32 {
-        let v = self.spec().num_vertices.max(1);
-        let full = 64 - (v - 1).leading_zeros(); // ceil(log2(v))
-        full.saturating_sub(scale_down).max(8)
+        self.full_scale().saturating_sub(scale_down).max(8)
     }
 
     /// Average degree (edge factor) at paper scale, at least 1.
@@ -218,6 +231,22 @@ mod tests {
         assert_eq!(Dataset::FacebookLike.scaled_scale(0), 22);
         assert_eq!(Dataset::FacebookLike.scaled_scale(10), 12);
         assert_eq!(Dataset::FacebookLike.scaled_scale(30), 8);
+    }
+
+    #[test]
+    fn scale_down_to_reaches_the_target_or_paper_size() {
+        for ds in Dataset::REAL_WORLD {
+            let full = ds.full_scale();
+            assert!(1u64 << full >= ds.spec().num_vertices, "{ds:?}");
+            assert!(1u64 << (full - 1) < ds.spec().num_vertices, "{ds:?}");
+            for t in 6..=29 {
+                assert_eq!(
+                    ds.scaled_scale(ds.scale_down_to(t)),
+                    full.min(t).max(8),
+                    "{ds:?} at {t}"
+                );
+            }
+        }
     }
 
     #[test]
